@@ -9,11 +9,10 @@ from .assignments import (
     is_proper_coloring,
     is_valid_assignment,
 )
+from .budget import RESOURCE_LIMIT, Budget, BudgetExceeded, Meter
 from .choosability import (
     CHOOSABLE,
     NOT_CHOOSABLE,
-    RESOURCE_LIMIT,
-    Budget,
     ChoosabilityVerdict,
     decide_choosable,
     verify_not_choosable,

@@ -21,25 +21,16 @@ returned as the witness, padded back to the full graph.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 
 from .assignments import ListAssignment, SeparationParams, is_valid_assignment
+from .budget import RESOURCE_LIMIT, Budget, BudgetExceeded, Meter
 from .graph import Graph, induced_subgraph
 from .reducibility import greedy_kernel
 from .solver import UNSAT, solve
 
 CHOOSABLE = "CHOOSABLE"
 NOT_CHOOSABLE = "NOT_CHOOSABLE"
-RESOURCE_LIMIT = "RESOURCE_LIMIT"
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Search budget; exceeding it yields the distinct RESOURCE_LIMIT verdict."""
-
-    max_nodes: int = 10_000_000
-    max_seconds: float | None = None
 
 
 @dataclass(frozen=True)
@@ -48,31 +39,6 @@ class ChoosabilityVerdict:
     witness: ListAssignment | None   # present iff NOT_CHOOSABLE
     assignments_tested: int
     nodes_used: int
-
-
-class _BudgetExceeded(Exception):
-    pass
-
-
-class _Meter:
-    __slots__ = ("max_nodes", "deadline", "nodes", "assignments")
-
-    def __init__(self, limits: Budget) -> None:
-        self.max_nodes = limits.max_nodes
-        self.deadline = (
-            time.monotonic() + limits.max_seconds
-            if limits.max_seconds is not None
-            else None
-        )
-        self.nodes = 0
-        self.assignments = 0
-
-    def spend(self, amount: int) -> None:
-        self.nodes += amount
-        if self.nodes > self.max_nodes:
-            raise _BudgetExceeded
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _BudgetExceeded
 
 
 def _candidate_sets(used: int, size: int) -> list[tuple[int, ...]]:
@@ -90,7 +56,7 @@ def _candidate_sets(used: int, size: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _tight_assignments(h: Graph, p: SeparationParams, meter: _Meter):
+def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter):
     """Yield (masks, universe) for canonical tight assignments on h.
 
     h must have minimum degree >= k. Branches with a "safe" vertex (one owning
@@ -202,11 +168,12 @@ def decide_choosable(
     RESOURCE_LIMIT. The NOT_CHOOSABLE witness is the first one in the fixed
     enumeration order, so verdicts and witnesses are deterministic.
     """
-    meter = _Meter(limits)
+    meter = Meter(limits)
     core = greedy_kernel(g, p.k)
     if core.empty:
         return ChoosabilityVerdict(CHOOSABLE, None, 0, 0)
     core_ids = core.kernel_vertices
+    tested = 0
     try:
         for size in range(len(core_ids), 0, -1):
             for subset in itertools.combinations(core_ids, size):
@@ -215,19 +182,18 @@ def decide_choosable(
                     continue
                 for masks, universe in _tight_assignments(h, p, meter):
                     lists = ListAssignment(list(masks), universe)
-                    meter.assignments += 1
-                    res = solve(h, lists)
-                    meter.spend(res.nodes_explored)
+                    tested += 1
+                    res = solve(h, lists, meter)
+                    if res.verdict == RESOURCE_LIMIT:
+                        raise BudgetExceeded
                     if res.verdict == UNSAT:
                         witness = _pad_witness(g, kept, masks, universe, p)
                         return ChoosabilityVerdict(
-                            NOT_CHOOSABLE, witness, meter.assignments, meter.nodes
+                            NOT_CHOOSABLE, witness, tested, meter.nodes
                         )
-    except _BudgetExceeded:
-        return ChoosabilityVerdict(
-            RESOURCE_LIMIT, None, meter.assignments, meter.nodes
-        )
-    return ChoosabilityVerdict(CHOOSABLE, None, meter.assignments, meter.nodes)
+    except BudgetExceeded:
+        return ChoosabilityVerdict(RESOURCE_LIMIT, None, tested, meter.nodes)
+    return ChoosabilityVerdict(CHOOSABLE, None, tested, meter.nodes)
 
 
 def verify_not_choosable(

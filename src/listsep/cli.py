@@ -1,7 +1,7 @@
 """Command-line entry point: file parsing, subcommand dispatch, exit codes.
 
 Exit codes: 0 success/SAT/PASS, 1 definitive negative (UNSAT, NOT_CHOOSABLE,
-FAIL), 2 usage or parse error, 3 resource limit.
+FAIL), 2 usage or parse error, 3 resource limit, 4 internal error.
 
 Graph files: first non-comment line "n m", then m lines "u v" with 0-based
 ids; blank lines and lines starting with "#" are ignored. List files: one
@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from fractions import Fraction
 
 from .assignments import ListAssignment, SeparationParams, is_valid_assignment
+from .budget import Budget, Meter
 from .choosability import (
     CHOOSABLE,
     NOT_CHOOSABLE,
-    RESOURCE_LIMIT,
-    Budget,
     decide_choosable,
     verify_not_choosable,
 )
@@ -32,7 +32,7 @@ from .reducibility import (
     greedy_kernel,
     run_edge_reduction_suite,
 )
-from .solver import SAT, solve
+from .solver import SAT, UNSAT, solve
 from .sparsity import mad_exact, verify_charge_algebra
 from .tuple_audit import full_audit
 
@@ -40,6 +40,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 class ParseError(ValueError):
@@ -168,21 +169,28 @@ def _params(args) -> SeparationParams:
     return SeparationParams(args.k, args.t)
 
 
+def _budget(args) -> Budget:
+    return Budget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
+
+
 def _cmd_solve(args, out: _Out) -> int:
     g = parse_graph_file(args.graph)
     lists = parse_lists_file(args.lists, args.universe)
-    result = solve(g, lists)
+    result = solve(g, lists, Meter(_budget(args)))
     out.emit("verdict", result.verdict)
     out.emit("nodes", result.nodes_explored)
     if result.witness is not None:
         out.emit("witness", _witness_text(result.witness))
-    return EXIT_OK if result.verdict == SAT else EXIT_NEGATIVE
+    if result.verdict == SAT:
+        return EXIT_OK
+    if result.verdict == UNSAT:
+        return EXIT_NEGATIVE
+    return EXIT_RESOURCE
 
 
 def _cmd_check_choosable(args, out: _Out) -> int:
     g = parse_graph_file(args.graph)
-    limits = Budget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
-    verdict = decide_choosable(g, _params(args), limits)
+    verdict = decide_choosable(g, _params(args), _budget(args))
     out.emit("verdict", verdict.verdict)
     out.emit("assignments_tested", verdict.assignments_tested)
     out.emit("nodes", verdict.nodes_used)
@@ -339,6 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("lists")
     p.add_argument("--universe", type=int, default=None)
+    p.add_argument("--max-nodes", type=int, default=sys.maxsize,
+                   help="default: no limit")
+    p.add_argument("--max-seconds", type=float, default=None)
 
     p = add("check-choosable", _cmd_check_choosable, help="decide (k,t)-choosability")
     p.add_argument("graph")
@@ -401,6 +412,11 @@ def dispatch(args: argparse.Namespace) -> int:
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # Exit code 1 would read as a definitive negative verdict.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main(argv: list[str] | None = None) -> int:

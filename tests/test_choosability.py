@@ -113,6 +113,14 @@ def test_budget_exhaustion_is_reported_not_coerced():
     assert verdict.witness is None
 
 
+def test_metering_leaves_counts_of_runs_within_budget():
+    g, p = complete_bipartite_graph(3, 3), SeparationParams(3, 5)
+    for limits in (Budget(), Budget(max_nodes=290_930, max_seconds=3600)):
+        verdict = decide_choosable(g, p, limits)
+        assert verdict.verdict == CHOOSABLE
+        assert (verdict.assignments_tested, verdict.nodes_used) == (216, 290_930)
+
+
 def test_plain_k_choosability_at_t_equal_k():
     # at t = k the decision coincides with plain k-choosability
     p = SeparationParams(2, 2)

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import listsep.cli
 from listsep.cli import (
+    EXIT_INTERNAL,
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_RESOURCE,
@@ -18,7 +20,7 @@ from listsep.cli import (
     parse_graph_file,
     parse_lists_file,
 )
-from listsep.constructions import build_gadget35
+from listsep.constructions import build_book, build_gadget35
 from listsep.graph import path_graph
 
 GOLDEN = str(Path(__file__).parent / "data" / "tuple_table_golden.txt")
@@ -80,6 +82,30 @@ def test_solve_exit_codes(tmp_path):
     unsat = write(tmp_path, "unsat.txt", "0: 1\n1: 1\n")
     assert main(["solve", g, sat]) == EXIT_OK
     assert main(["solve", g, unsat]) == EXIT_NEGATIVE
+
+
+def test_solve_budget_flags(tmp_path, capsys):
+    inst = build_book(4, 7)    # refuted in 6,748 nodes
+    g = write(tmp_path, "g.txt", format_graph(inst.graph))
+    lists = write(tmp_path, "l.txt", format_lists(inst.lists))
+    argv = ["--format", "machine", "solve", g, lists]
+    assert main([*argv, "--max-nodes", "100"]) == EXIT_RESOURCE
+    assert capsys.readouterr().out == "verdict=RESOURCE_LIMIT\nnodes=101\n"
+    assert main([*argv, "--max-seconds", "0"]) == EXIT_RESOURCE
+    assert capsys.readouterr().out == "verdict=RESOURCE_LIMIT\nnodes=1024\n"
+    assert main([*argv, "--max-nodes", "6748", "--max-seconds", "3600"]) == EXIT_NEGATIVE
+    assert capsys.readouterr().out == "verdict=UNSAT\nnodes=6748\n"
+
+
+def test_internal_error_is_not_a_negative_verdict(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver fault")
+
+    monkeypatch.setattr(listsep.cli, "solve", broken)
+    g = write(tmp_path, "k2.txt", "2 1\n0 1\n")
+    lists = write(tmp_path, "l.txt", "0: 1\n1: 2\n")
+    assert main(["solve", g, lists]) == EXIT_INTERNAL
+    assert "internal error: RuntimeError: solver fault" in capsys.readouterr().err
 
 
 def test_check_choosable_exit_codes(tmp_path):

@@ -4,14 +4,20 @@ oracle, determinism, precoloring, and counting."""
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from listsep.assignments import ListAssignment, is_proper_coloring
+from listsep.assignments import ListAssignment, SeparationParams, is_proper_coloring
+from listsep.budget import CLOCK_EVERY, RESOURCE_LIMIT, Budget, Meter
+from listsep.choosability import decide_choosable
 from listsep.constructions import build_book, build_gadget35
-from listsep.graph import Graph, cycle_graph, path_graph
+from listsep.graph import Graph, cycle_graph, icosahedron_graph, path_graph
 from listsep.solver import SAT, UNSAT, count_colorings, solve, solve_with_precolor
+
+RECORD = Path(__file__).parent / "data" / "solver_record.json"
 
 
 def oracle_decide(g: Graph, lists: ListAssignment) -> bool:
@@ -40,6 +46,22 @@ def random_instance(rng: random.Random, max_n: int = 5):
     g = Graph(n, edges)
     sets = [set(rng.sample(range(6), rng.randint(1, 3))) for _ in range(n)]
     return g, ListAssignment.from_sets(sets, universe=6)
+
+
+def recorded_instance(index: int):
+    """Instance `index` of the seeded set in tests/data/solver_record.json.
+
+    The record holds (verdict, witness by vertex, nodes) for each instance and
+    for four books, as the recursive chronological fail-first search (the
+    solver before backjumping) found them.
+    """
+    rng = random.Random(f"solver-record:{index}")
+    n = rng.randint(2, 9)
+    p = rng.choice((0.3, 0.5, 0.7))
+    universe = rng.randint(3, 5)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    sets = [set(rng.sample(range(universe), rng.randint(2, 3))) for _ in range(n)]
+    return Graph(n, edges), ListAssignment.from_sets(sets, universe=universe)
 
 
 K2 = Graph(2, [(0, 1)])
@@ -139,3 +161,78 @@ def test_count_matches_oracle():
     for _ in range(150):
         g, lists = random_instance(rng, max_n=4)
         assert count_colorings(g, lists, 10_000) == oracle_count(g, lists)
+
+
+def test_count_matches_oracle_up_to_n8():
+    rng = random.Random(808)
+    for _ in range(40):
+        n = rng.randint(6, 8)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.4]
+        g = Graph(n, edges)
+        sets = [set(rng.sample(range(5), rng.randint(1, 3))) for _ in range(n)]
+        lists = ListAssignment.from_sets(sets, universe=5)
+        assert count_colorings(g, lists, 10_000) == oracle_count(g, lists)
+        assert (solve(g, lists).verdict == SAT) == oracle_decide(g, lists)
+
+
+def _witness_list(res, n):
+    return None if res.witness is None else [res.witness[v] for v in range(n)]
+
+
+def test_same_witness_and_no_more_nodes_than_chronological_search():
+    record = json.loads(RECORD.read_text(encoding="utf-8"))
+    for i, (verdict, witness, nodes) in enumerate(record["random"]):
+        g, lists = recorded_instance(i)
+        res = solve(g, lists)
+        assert (res.verdict, _witness_list(res, g.n)) == (verdict, witness), i
+        assert res.nodes_explored <= nodes, i
+    for key, (verdict, witness, nodes) in record["books"].items():
+        inst = build_book(*map(int, key.split(",")))
+        res = solve(inst.graph, inst.lists)
+        assert (res.verdict, _witness_list(res, inst.graph.n)) == (verdict, witness)
+        assert res.nodes_explored <= nodes, key
+
+
+def test_gadget35_backjumps_over_independent_copies():
+    inst = build_gadget35()
+    res = solve(inst.graph, inst.lists)
+    assert res.verdict == UNSAT
+    assert res.nodes_explored <= 2_000
+
+
+def test_long_path_needs_no_recursion():
+    n = 3000
+    g = path_graph(n)
+    lists = ListAssignment.from_sets([{0, 1, 2}] * n)
+    res = solve(g, lists)
+    assert res.verdict == SAT
+    assert is_proper_coloring(g, lists, res.witness)
+    assert count_colorings(g, lists, 10) == 10
+
+
+def test_solve_budget_cuts_off_and_is_charged_exactly():
+    inst = build_book(4, 7)
+    full = solve(inst.graph, inst.lists)
+    meter = Meter(Budget(max_nodes=100))
+    res = solve(inst.graph, inst.lists, meter)
+    assert (res.verdict, res.witness, res.nodes_explored) == (RESOURCE_LIMIT, None, 101)
+    assert meter.nodes == 101
+    meter = Meter(Budget(max_nodes=full.nodes_explored, max_seconds=3600))
+    assert solve(inst.graph, inst.lists, meter) == full
+    assert meter.nodes == full.nodes_explored
+    res = solve(inst.graph, inst.lists, Meter(Budget(max_seconds=0)))
+    assert (res.verdict, res.nodes_explored) == (RESOURCE_LIMIT, CLOCK_EVERY)
+
+
+def test_decide_cannot_overrun_its_budget():
+    # The icosahedron's first solve at (3,5) makes nodes 657 to 668 of the
+    # decision, so the budgets from 656 to 667 run out inside it.
+    ico, p = icosahedron_graph(), SeparationParams(3, 5)
+    for max_nodes in range(650, 675):
+        verdict = decide_choosable(ico, p, Budget(max_nodes=max_nodes))
+        assert verdict.verdict == RESOURCE_LIMIT
+        assert verdict.nodes_used == max_nodes + 1
+    verdict = decide_choosable(ico, p, Budget(max_seconds=0))
+    assert verdict.verdict == RESOURCE_LIMIT
+    assert verdict.nodes_used == CLOCK_EVERY
