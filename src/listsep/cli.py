@@ -254,6 +254,7 @@ def _cmd_mad(args, out: _Out) -> int:
     result = mad_exact(g)
     out.emit("mad", result.value)
     out.emit("witness", ",".join(map(str, result.witness)))
+    out.emit("flow_calls", result.flow_calls)
     return EXIT_OK
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Iterable
 
 
@@ -127,6 +128,31 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
         (index[u], index[v]) for u, v in g.edges() if u in index and v in index
     ]
     return Graph(len(kept), edges), kept
+
+
+def peel(g: Graph, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Delete the lowest-id vertex of degree < k until none is left.
+
+    Returns (order, core): the removed ids in removal order, and the sorted
+    ids of the survivors, which form the k-core. Degrees only fall, so a
+    vertex stays removable once it is; a min-heap of the removable vertices
+    therefore yields the same order as rescanning from id 0 after each
+    removal, in O((n + m) log n).
+    """
+    degree = [len(nbrs) for nbrs in g._nbrs]
+    heap = [v for v in range(g.n) if degree[v] < k]   # sorted, hence a heap
+    alive = [True] * g.n
+    order = []
+    while heap:
+        v = heappop(heap)
+        alive[v] = False
+        order.append(v)
+        for u in g._nbrs[v]:
+            if alive[u]:
+                degree[u] -= 1
+                if degree[u] == k - 1:
+                    heappush(heap, u)
+    return tuple(order), tuple(v for v in range(g.n) if alive[v])
 
 
 def complete_graph(n: int) -> Graph:

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 
 from .assignments import ListAssignment, SeparationParams, is_valid_assignment
-from .graph import Graph, induced_subgraph
+from .graph import Graph, induced_subgraph, peel
 from .solver import SAT, solve
 
 PASS = "PASS"
@@ -102,29 +102,14 @@ class KernelResult:
 
 
 def greedy_kernel(g: Graph, k: int) -> KernelResult:
-    """Peel vertices of degree < k until none remain below the threshold.
+    """Peel the lowest-id vertex of degree < k until none remains.
 
     An empty kernel certifies that every (k,t)-assignment of g is colorable:
     replaying the removal order backwards always leaves a free color.
     """
-    degree = [g.degree(v) for v in range(g.n)]
-    alive = [True] * g.n
-    order: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for v in range(g.n):
-            if alive[v] and degree[v] < k:
-                alive[v] = False
-                order.append(v)
-                for u in g.neighbors(v):
-                    if alive[u]:
-                        degree[u] -= 1
-                changed = True
-                break
-    survivors = [v for v in range(g.n) if alive[v]]
-    kernel, kept = induced_subgraph(g, survivors)
-    return KernelResult(kernel, kept, tuple(order))
+    order, core = peel(g, k)
+    kernel, kept = induced_subgraph(g, core)
+    return KernelResult(kernel, kept, order)
 
 
 @dataclass(frozen=True)

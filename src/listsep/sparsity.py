@@ -7,17 +7,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph
+from .graph import Graph, peel
 
 
 @dataclass(frozen=True)
 class MadResult:
     value: Fraction                 # max over subgraphs of 2*e(H)/n(H)
     witness: tuple[int, ...]        # vertex set achieving it
+    flow_calls: int                 # max-flow computations it took
 
 
 class _Dinic:
-    """Integer-capacity max flow; small dense networks only."""
+    """Integer-capacity max flow by Dinic's blocking flows, without recursion."""
 
     def __init__(self, size: int) -> None:
         self.size = size
@@ -48,20 +49,37 @@ class _Dinic:
             frontier = nxt
         return level if level[t] >= 0 else None
 
-    def _dfs(self, u: int, t: int, pushed: int, level: list[int], it: list[int]) -> int:
-        if u == t:
-            return pushed
-        while it[u] < len(self.adj[u]):
-            e = self.adj[u][it[u]]
-            v = self.to[e]
-            if self.cap[e] > 0 and level[v] == level[u] + 1:
-                got = self._dfs(v, t, min(pushed, self.cap[e]), level, it)
-                if got > 0:
-                    self.cap[e] -= got
-                    self.cap[e ^ 1] += got
-                    return got
-            it[u] += 1
-        return 0
+    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
+        """Push flow along the first s-t path of the level graph; 0 if none.
+
+        Depth-first over the edges from it[u] on, with the path kept as a
+        list of edge ids; a dead end advances its parent's edge pointer.
+        """
+        adj, to, cap = self.adj, self.to, self.cap
+        path: list[int] = []
+        u = s
+        while u != t:
+            edges = adj[u]
+            i = it[u]
+            while i < len(edges):
+                e = edges[i]
+                if cap[e] > 0 and level[to[e]] == level[u] + 1:
+                    break
+                i += 1
+            it[u] = i
+            if i < len(edges):
+                path.append(e)
+                u = to[e]
+            elif path:
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+            else:
+                return 0
+        pushed = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= pushed
+            cap[e ^ 1] += pushed
+        return pushed
 
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
@@ -71,7 +89,7 @@ class _Dinic:
                 return flow
             it = [0] * self.size
             while True:
-                pushed = self._dfs(s, t, 1 << 62, level, it)
+                pushed = self._augment(s, t, level, it)
                 if pushed == 0:
                     break
                 flow += pushed
@@ -124,27 +142,26 @@ def _denser_subgraph(g: Graph, guess: Fraction) -> tuple[int, ...] | None:
 def mad_exact(g: Graph) -> MadResult:
     """Maximum of 2*e(H)/n(H) over nonempty subgraphs, exactly.
 
-    Binary search over rational density guesses with a max-flow separation
-    oracle; distinct achievable densities differ by at least 1/n^2, so once
-    the bracket is narrower than that the best witness found is optimal.
+    Dinkelbach iteration over Goldberg's max-flow cut: start from the whole
+    vertex set's density m/n; while the cut finds a set S denser than the
+    current density, move to S and its density e(S)/|S|. Densities rise
+    strictly and take finitely many values, so the loop ends, and it ends
+    only when no set is denser: the last set is a densest subgraph.
     """
     if g.n == 0:
         raise ValueError("Mad of the empty graph is undefined")
     if g.m == 0:
-        return MadResult(Fraction(0), (0,))
-    lo = Fraction(g.m, g.n)          # achieved by the whole vertex set
+        return MadResult(Fraction(0), (0,), 0)
     best = tuple(range(g.n))
-    hi = Fraction(g.n, 2)            # strictly above any simple-graph density
-    gap = Fraction(1, g.n * g.n)
-    while hi - lo >= gap:
-        mid = (lo + hi) / 2
-        denser = _denser_subgraph(g, mid)
+    density = Fraction(g.m, g.n)
+    flow_calls = 0
+    while True:
+        flow_calls += 1
+        denser = _denser_subgraph(g, density)
         if denser is None:
-            hi = mid
-        else:
-            lo = Fraction(_induced_edge_count(g, denser), len(denser))
-            best = denser
-    return MadResult(2 * lo, best)
+            return MadResult(2 * density, best, flow_calls)
+        best = denser
+        density = Fraction(_induced_edge_count(g, denser), len(denser))
 
 
 def mad_bruteforce(g: Graph) -> MadResult:
@@ -170,7 +187,7 @@ def mad_bruteforce(g: Graph) -> MadResult:
             best_set = tuple(
                 v for v in range(g.n) if (mask >> v) & 1
             )
-    return MadResult(best_val, best_set)
+    return MadResult(best_val, best_set, 0)
 
 
 @dataclass(frozen=True)
@@ -184,33 +201,14 @@ class DegeneracyResult:
 
 
 def degeneracy_order(g: Graph, k: int) -> DegeneracyResult:
-    """Peel a minimum-degree vertex while one of degree < k exists.
+    """Peel vertices of degree < k with the kernel's peel (`graph.peel`).
 
-    A full elimination order certifies (k-1)-degeneracy; otherwise the stuck
-    core (every vertex of degree >= k within it) is reported.
+    The order is the one `greedy_kernel` reports: the lowest-id vertex of
+    degree < k goes first, not a minimum-degree one. A full elimination
+    order certifies (k-1)-degeneracy; otherwise the stuck core, the unique
+    k-core in which every vertex has degree >= k, is reported.
     """
-    degree = [g.degree(v) for v in range(g.n)]
-    alive = [True] * g.n
-    order = []
-    remaining = g.n
-    while remaining:
-        pick = -1
-        pick_deg = 1 << 30
-        for v in range(g.n):
-            if alive[v] and degree[v] < pick_deg:
-                pick = v
-                pick_deg = degree[v]
-        if pick_deg >= k:
-            break
-        alive[pick] = False
-        order.append(pick)
-        remaining -= 1
-        for u in g.neighbors(pick):
-            if alive[u]:
-                degree[u] -= 1
-    return DegeneracyResult(
-        tuple(order), tuple(v for v in range(g.n) if alive[v])
-    )
+    return DegeneracyResult(*peel(g, k))
 
 
 @dataclass(frozen=True)

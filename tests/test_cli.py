@@ -164,6 +164,9 @@ def test_mad_and_sparse_and_kernel(tmp_path, capsys):
         __import__("listsep").complete_graph(5)))
     assert main(["mad", k5]) == EXIT_OK
     assert "4" in capsys.readouterr().out
+    assert main(["--format", "machine", "mad", k5]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["mad=4", "witness=0,1,2,3,4", "flow_calls=1"]
     assert main(["verify-sparse", "--k", "4", "--t", "15"]) == EXIT_OK
     assert main(["verify-sparse", "--k", "1", "--t", "15"]) == EXIT_USAGE
     assert main(["kernel", k5, "--k", "5"]) == EXIT_OK

@@ -26,6 +26,7 @@ from listsep.reducibility import (
     greedy_kernel,
     run_edge_reduction_suite,
 )
+from listsep.sparsity import degeneracy_order
 
 
 def test_find_reducible_edges_regular_graphs():
@@ -129,6 +130,39 @@ def test_kernel_removal_order_is_replayable():
             assert deg < k
             removed.add(v)
         assert set(res.kernel_vertices) == set(range(n)) - removed
+
+
+def reference_kernel(g: Graph, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The kernel's rule by its definition: rescan from id 0 after each removal."""
+    degree = [g.degree(v) for v in range(g.n)]
+    alive = [True] * g.n
+    order = []
+    while True:
+        v = next((v for v in range(g.n) if alive[v] and degree[v] < k), None)
+        if v is None:
+            return tuple(order), tuple(u for u in range(g.n) if alive[u])
+        alive[v] = False
+        order.append(v)
+        for u in g.neighbors(v):
+            if alive[u]:
+                degree[u] -= 1
+
+
+def test_kernel_order_matches_rescan_reference():
+    rng = random.Random(29)
+    grid = Graph(225, [(r * 15 + c, r * 15 + c + 1) for r in range(15) for c in range(14)]
+                 + [(r * 15 + c, r * 15 + c + 15) for r in range(14) for c in range(15)])
+    cases = [(path_graph(500), 2), (grid, 3), (grid, 2)]
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        p = rng.uniform(0.02, 0.4)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < p])
+        cases.append((g, rng.randint(0, 6)))
+    for g, k in cases:
+        res = greedy_kernel(g, k)
+        assert (res.order, res.kernel_vertices) == reference_kernel(g, k)
+        assert degeneracy_order(g, k).core == res.kernel_vertices
 
 
 def test_empty_kernel_certifies_choosable():

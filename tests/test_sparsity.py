@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -64,8 +66,31 @@ def test_witness_density_equals_value():
 def test_exact_matches_bruteforce_on_random_graphs():
     rng = random.Random(17)
     for _ in range(40):
-        g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.8))
-        assert mad_exact(g).value == mad_bruteforce(g).value
+        g = random_graph(rng, rng.randint(1, 16), rng.uniform(0.2, 0.8))
+        result = mad_exact(g)
+        assert result.value == mad_bruteforce(g).value
+        sub, _ = induced_subgraph(g, result.witness)
+        assert Fraction(2 * sub.m, sub.n) == result.value
+
+
+def test_mad_does_not_recurse():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        assert mad_exact(path_graph(400)).value == Fraction(399, 200)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_tree_mad_takes_one_flow_call():
+    # A tree's own density (n-1)/n is its maximum: no subtree is denser.
+    rng = random.Random(23)
+    for n in (2, 7, 40):
+        tree = Graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+        result = mad_exact(tree)
+        assert result.value == Fraction(2 * (n - 1), n)
+        assert result.flow_calls == 1
+    assert mad_exact(Graph(3)).flow_calls == 0
 
 
 def test_mad_monotone_under_subgraphs():
