@@ -49,9 +49,7 @@ from .reducibility import (
 from .solver import SAT, UNSAT, SolveResult, count_colorings, solve, solve_with_precolor
 from .sparsity import (
     ChargeReport,
-    DegeneracyResult,
     MadResult,
-    degeneracy_order,
     mad_bruteforce,
     mad_exact,
     verify_charge_algebra,

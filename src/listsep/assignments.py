@@ -74,9 +74,6 @@ class ListAssignment:
     def size(self, v: int) -> int:
         return self._masks[v].bit_count()
 
-    def total_size(self) -> int:
-        return sum(m.bit_count() for m in self._masks)
-
     def to_sets(self) -> list[tuple[int, ...]]:
         return [self.colors(v) for v in range(len(self))]
 

@@ -59,10 +59,10 @@ def _candidate_sets(used: int, size: int) -> list[tuple[int, ...]]:
 def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter):
     """Yield (masks, universe) for canonical tight assignments on h.
 
-    h must have minimum degree >= k. Branches with a "safe" vertex (one owning
-    a color no neighbor list contains) or, in the union regime, a removable
-    color, are pruned: the reduced witness lives on a smaller subgraph or
-    assignment that is enumerated separately.
+    h must be nonempty with minimum degree >= k. Branches with a "safe"
+    vertex (one owning a color no neighbor list contains) or, in the union
+    regime, a removable color, are pruned: the reduced witness lives on a
+    smaller subgraph or assignment that is enumerated separately.
     """
     n = h.n
     k, t = p.k, p.t
@@ -101,35 +101,44 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter):
                         return True
         return False
 
-    def rec(i: int, used: int, sizes: tuple[int, ...]):
-        if i == n:
-            yield tuple(masks), used
-            return
-        for cols in _candidate_sets(used, sizes[i]):
-            meter.spend(1)
-            m = 0
-            for c in cols:
-                m |= 1 << c
-            ok = True
-            for u in earlier[i]:
-                if union:
-                    if (m | masks[u]).bit_count() < t:
-                        ok = False
-                        break
-                elif (m & masks[u]).bit_count() > t:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            masks[i] = m
-            if not prunable(i):
-                yield from rec(i + 1, max(used, m.bit_length()), sizes)
-            masks[i] = 0
-
     for sizes in itertools.product(*size_ranges):
         if union and any(sizes[u] + sizes[v] < t for u, v in edges):
             continue
-        yield from rec(0, 0, sizes)
+        # A depth-first walk without recursion: levels[i] holds an iterator
+        # over the candidates left for vertex i and the number of colors in
+        # use before it. Entries of masks past the top level are stale, but
+        # neither the checks nor prunable(i) read beyond masks[i].
+        levels = [(iter(_candidate_sets(0, sizes[0])), 0)]
+        while levels:
+            i = len(levels) - 1
+            candidates, before = levels[i]
+            for cols in candidates:
+                meter.spend(1)
+                m = 0
+                for c in cols:
+                    m |= 1 << c
+                ok = True
+                for u in earlier[i]:
+                    if union:
+                        if (m | masks[u]).bit_count() < t:
+                            ok = False
+                            break
+                    elif (m & masks[u]).bit_count() > t:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                masks[i] = m
+                if not prunable(i):
+                    break
+            else:
+                levels.pop()
+                continue
+            now = max(before, m.bit_length())
+            if i + 1 == n:
+                yield tuple(masks), now
+            else:
+                levels.append((iter(_candidate_sets(now, sizes[i + 1])), now))
 
 
 def _pad_witness(

@@ -72,26 +72,25 @@ def parse_graph_file(path: str) -> Graph:
         raise ParseError(
             path, line_no, f"header announces {m} edges, file has {len(lines) - 1}"
         )
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for line_no, text in lines[1:]:
-        parts = text.split()
-        if len(parts) != 2:
-            raise ParseError(path, line_no, f"expected 'u v', got {text!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(path, line_no, f"non-integer vertex in {text!r}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(path, line_no, f"vertex out of range in {text!r}")
-        if u == v:
-            raise ParseError(path, line_no, f"self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(path, line_no, f"duplicate edge ({u},{v})")
-        seen.add(key)
-        edges.append((u, v))
-    return Graph(n, edges)
+
+    def pairs():
+        # Graph checks range, self-loops and duplicates as it consumes each
+        # pair; line_no is the line of the pair being read or checked.
+        nonlocal line_no
+        for line_no, text in lines[1:]:
+            parts = text.split()
+            if len(parts) != 2:
+                raise ValueError(f"expected 'u v', got {text!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(f"non-integer vertex in {text!r}") from None
+            yield u, v
+
+    try:
+        return Graph(n, pairs())
+    except ValueError as exc:
+        raise ParseError(path, line_no, str(exc)) from None
 
 
 def parse_lists_file(path: str, universe: int | None = None) -> ListAssignment:

@@ -10,13 +10,17 @@ from typing import Iterable
 class Graph:
     """Simple undirected graph on dense vertex ids 0..n-1.
 
+    Each neighborhood is stored once, as a sorted tuple of vertex ids; the
+    constructor is the one place that checks edges for range, self-loops and
+    duplicates.
+
     Instances are immutable; ``delete_vertex``/``delete_edge``/``with_edge``
     return new graphs, so callers can hold G, G-u, G-v and G-uv side by side.
     Vertex deletion relabels survivors by the stable map w -> w for w < v,
     w -> w-1 for w > v.
     """
 
-    __slots__ = ("n", "m", "_nbrs", "_masks")
+    __slots__ = ("n", "m", "_nbrs")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -36,7 +40,6 @@ class Graph:
         self.n = n
         self.m = m
         self._nbrs = tuple(tuple(sorted(s)) for s in adj)
-        self._masks = tuple(sum(1 << w for w in s) for s in adj)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -46,11 +49,6 @@ class Graph:
         self._check_vertex(v)
         return self._nbrs[v]
 
-    def neighbor_mask(self, v: int) -> int:
-        """Neighborhood of v as a bitmask over vertex ids."""
-        self._check_vertex(v)
-        return self._masks[v]
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return len(self._nbrs[v])
@@ -58,7 +56,7 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return (self._masks[u] >> v) & 1 == 1
+        return v in self._nbrs[u]
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
@@ -70,7 +68,7 @@ class Graph:
         self._check_vertex(v)
         if u == v:
             raise ValueError("common_neighbor_count requires two distinct vertices")
-        return (self._masks[u] & self._masks[v]).bit_count()
+        return len(set(self._nbrs[u]).intersection(self._nbrs[v]))
 
     def delete_vertex(self, v: int) -> Graph:
         self._check_vertex(v)

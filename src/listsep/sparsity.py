@@ -1,5 +1,5 @@
-"""Exact maximum average degree, degeneracy peeling, and the exact-rational
-verification of the sparsity discharging algebra."""
+"""Exact maximum average degree and the exact-rational verification of the
+sparsity discharging algebra."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, peel
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,8 @@ class _Dinic:
 
 
 def _induced_edge_count(g: Graph, vertices: tuple[int, ...]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return sum((g.neighbor_mask(v) & mask).bit_count() for v in vertices) // 2
+    inside = set(vertices)
+    return sum(1 for v in vertices for u in g.neighbors(v) if u in inside) // 2
 
 
 def _denser_subgraph(g: Graph, guess: Fraction) -> tuple[int, ...] | None:
@@ -170,7 +168,8 @@ def mad_bruteforce(g: Graph) -> MadResult:
         raise ValueError("Mad of the empty graph is undefined")
     if g.n > 20:
         raise ValueError("brute force limited to n <= 20")
-    adj = [g.neighbor_mask(v) for v in range(g.n)]
+    # Its own bitmasks, so the oracle shares no code with mad_exact.
+    adj = [sum(1 << u for u in g.neighbors(v)) for v in range(g.n)]
     best_val = Fraction(-1)
     best_set: tuple[int, ...] = ()
     for mask in range(1, 1 << g.n):
@@ -188,27 +187,6 @@ def mad_bruteforce(g: Graph) -> MadResult:
                 v for v in range(g.n) if (mask >> v) & 1
             )
     return MadResult(best_val, best_set, 0)
-
-
-@dataclass(frozen=True)
-class DegeneracyResult:
-    order: tuple[int, ...]      # removal order of peeled vertices
-    core: tuple[int, ...]       # stuck vertices; empty iff the peel finished
-
-    @property
-    def succeeded(self) -> bool:
-        return not self.core
-
-
-def degeneracy_order(g: Graph, k: int) -> DegeneracyResult:
-    """Peel vertices of degree < k with the kernel's peel (`graph.peel`).
-
-    The order is the one `greedy_kernel` reports: the lowest-id vertex of
-    degree < k goes first, not a minimum-degree one. A full elimination
-    order certifies (k-1)-degeneracy; otherwise the stuck core, the unique
-    k-core in which every vertex has degree >= k, is reported.
-    """
-    return DegeneracyResult(*peel(g, k))
 
 
 @dataclass(frozen=True)

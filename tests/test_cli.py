@@ -21,7 +21,7 @@ from listsep.cli import (
     parse_lists_file,
 )
 from listsep.constructions import build_book, build_gadget35
-from listsep.graph import path_graph
+from listsep.graph import cycle_graph, path_graph
 
 GOLDEN = str(Path(__file__).parent / "data" / "tuple_table_golden.txt")
 
@@ -52,6 +52,10 @@ def test_parse_graph_rejects(tmp_path, content, fragment):
     with pytest.raises(ParseError) as err:
         parse_graph_file(path)
     assert fragment in str(err.value)
+    line = {"self-loop": 2, "duplicate": 3, "out of range": 2,
+            "announces": 1, "expected": 1}[fragment]
+    assert str(err.value).startswith(f"{path}:{line}: ")
+    assert main(["mad", path]) == EXIT_USAGE
 
 
 def test_parse_lists_file(tmp_path):
@@ -124,6 +128,13 @@ def test_check_choosable_exit_codes(tmp_path):
     assert len(witness) == 5
     assert (
         main(["check-choosable", c5, "--k", "2", "--t", "2", "--max-nodes", "2"])
+        == EXIT_RESOURCE
+    )
+    # The enumeration walks all 1,200 core vertices deep without recursing.
+    c1200 = write(tmp_path, "c1200.txt", format_graph(cycle_graph(1200)))
+    assert (
+        main(["check-choosable", c1200, "--k", "2", "--t", "2",
+              "--max-nodes", "20000"])
         == EXIT_RESOURCE
     )
 

@@ -58,6 +58,30 @@ def test_common_neighbors():
         complete_graph(3).common_neighbor_count(1, 1)
 
 
+def test_queries_match_edge_list():
+    rng = random.Random(23)
+    graphs = [complete_graph(n) for n in (2, 5, 9)]
+    graphs += [
+        random_graph(rng, rng.randint(2, 12), p)
+        for p in (0.1, 0.5, 0.9)
+        for _ in range(10)
+    ]
+    for g in graphs:
+        edges = set(g.edges())
+
+        def adjacent(a: int, b: int) -> bool:
+            return (min(a, b), max(a, b)) in edges
+
+        for u in range(g.n):
+            for v in range(g.n):
+                assert g.has_edge(u, v) == adjacent(u, v)
+                if u != v:
+                    common = sum(
+                        1 for w in range(g.n) if adjacent(u, w) and adjacent(v, w)
+                    )
+                    assert g.common_neighbor_count(u, v) == common
+
+
 def test_delete_vertex_relabels_stably():
     k3 = complete_graph(3)
     assert k3.delete_vertex(0) == complete_graph(2)

@@ -1,4 +1,4 @@
-"""Densest-subgraph values, degeneracy peeling, charge algebra."""
+"""Densest-subgraph values, charge algebra."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from listsep.constructions import build_book, build_gadget35
+from listsep.constructions import build_book
 from listsep.graph import (
     Graph,
     complete_graph,
@@ -19,7 +19,7 @@ from listsep.graph import (
     petersen_graph,
 )
 from listsep.sparsity import (
-    degeneracy_order,
+    _induced_edge_count,
     mad_bruteforce,
     mad_exact,
     verify_charge_algebra,
@@ -113,24 +113,17 @@ def test_book_density_sits_below_2k():
         assert avg < 2 * k
 
 
-def test_degeneracy_order():
-    tree = path_graph(6)
-    res = degeneracy_order(tree, 2)
-    assert res.succeeded and len(res.order) == 6
-
-    stuck = degeneracy_order(complete_graph(4), 3)
-    assert not stuck.succeeded
-    assert stuck.core == (0, 1, 2, 3)
-
-    gadget = build_gadget35().graph
-    res = degeneracy_order(gadget, 6)
-    assert res.succeeded
-    # replay: every removal must have degree < 6 at its turn
-    removed = set()
-    for v in res.order:
-        deg = sum(1 for u in gadget.neighbors(v) if u not in removed)
-        assert deg < 6
-        removed.add(v)
+def test_induced_edge_count_matches_induced_subgraph():
+    rng = random.Random(31)
+    graphs = [complete_graph(7)]
+    graphs += [
+        random_graph(rng, rng.randint(1, 14), p)
+        for p in (0.1, 0.5, 0.9)
+        for _ in range(20)
+    ]
+    for g in graphs:
+        vertices = tuple(sorted(rng.sample(range(g.n), rng.randint(1, g.n))))
+        assert _induced_edge_count(g, vertices) == induced_subgraph(g, vertices)[0].m
 
 
 def test_charge_algebra_named_instances():
