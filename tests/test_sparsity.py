@@ -1,4 +1,4 @@
-"""Densest-subgraph values, charge algebra."""
+"""Densest-subgraph values, degeneracy peeling, charge algebra."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from listsep.constructions import build_book
+from listsep.constructions import build_book, build_gadget35
 from listsep.graph import (
     Graph,
     complete_graph,
@@ -18,6 +18,7 @@ from listsep.graph import (
     path_graph,
     petersen_graph,
 )
+from listsep.reducibility import greedy_kernel
 from listsep.sparsity import (
     _induced_edge_count,
     mad_bruteforce,
@@ -111,6 +112,26 @@ def test_book_density_sits_below_2k():
         avg = inst.graph.average_degree()
         assert avg <= mad <= inst.graph.n - 1
         assert avg < 2 * k
+
+
+def test_degeneracy_order():
+    # greedy_kernel reports the degeneracy peel: its order and the k-core
+    tree = greedy_kernel(path_graph(6), 2)
+    assert tree.empty and len(tree.order) == 6
+
+    stuck = greedy_kernel(complete_graph(4), 3)
+    assert not stuck.empty
+    assert stuck.kernel_vertices == (0, 1, 2, 3)
+
+    gadget = build_gadget35().graph
+    res = greedy_kernel(gadget, 6)
+    assert res.empty
+    # replay: every removal must have degree < 6 at its turn
+    removed = set()
+    for v in res.order:
+        deg = sum(1 for u in gadget.neighbors(v) if u not in removed)
+        assert deg < 6
+        removed.add(v)
 
 
 def test_induced_edge_count_matches_induced_subgraph():
