@@ -41,28 +41,38 @@ class ChoosabilityVerdict:
     nodes_used: int
 
 
-def _candidate_sets(used: int, size: int) -> list[tuple[int, ...]]:
-    """All canonical color sets of a given size: any old colors plus a block
-    of consecutive fresh ones, ordered lexicographically."""
-    out = []
-    for fresh in range(size + 1):
-        old_needed = size - fresh
-        if old_needed > used:
-            continue
-        new_block = tuple(range(used, used + fresh))
-        for old in itertools.combinations(range(used), old_needed):
-            out.append(old + new_block)
-    out.sort()
-    return out
+def _candidate_masks(used: int, size: int) -> list[int]:
+    """All canonical color sets of a given size as bitmasks: any old colors
+    plus a block of consecutive fresh ones, in the lexicographic order of
+    their sorted color tuples."""
+    sets = []
+    for fresh in range(max(0, size - used), size + 1):
+        block = tuple(range(used, used + fresh))
+        olds = itertools.combinations(range(used), size - fresh)
+        sets += (old + block for old in olds)
+    return [sum(1 << c for c in s) for s in sorted(sets)]
 
 
-def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter):
+def _removable_colors(m: int, lists: list[int], t: int) -> int:
+    """The colors of m that can be dropped while m still reaches t in union
+    with each of `lists` (it must reach t with each): those in every list
+    whose union with m is exactly t."""
+    keep = m
+    for f in lists:
+        if (m | f).bit_count() == t:
+            keep &= f
+    return keep
+
+
+def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: dict):
     """Yield (masks, universe) for canonical tight assignments on h.
 
     h must be nonempty with minimum degree >= k. Branches with a "safe"
     vertex (one owning a color no neighbor list contains) or, in the union
     regime, a removable color, are pruned: the reduced witness lives on a
     smaller subgraph or assignment that is enumerated separately.
+    `candidates` holds the `_candidate_masks` lists by (used, size) for the
+    whole decision that h belongs to.
     """
     n = h.n
     k, t = p.k, p.t
@@ -81,64 +91,77 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter):
 
     masks = [0] * n
 
-    def prunable(i: int) -> bool:
+    def enter(i: int, used: int, size: int):
+        """Vertex i's level with `used` colors taken below it: its
+        candidates and the parts of their tests that read only fixed masks.
+
+        m meets an earlier neighbor list f iff |m & f| <= cap (cap = t in
+        the intersection regime, |m| + |f| - t in the union regime). A
+        ready w != i turns prunable iff m misses one of w's colors that no
+        other neighbor has (`need` gathers them) or m reaches t with w's list
+        less a color removable against the others (`trimmed`); i does iff m
+        has a color off `around` (its neighbors' union, or every color while
+        one is unfixed) or, with `lists` set, a removable color.
+        """
+        key = (used, size)
+        if key not in candidates:
+            candidates[key] = _candidate_masks(used, size)
+        fixed = [masks[u] for u in earlier[i]]
+        caps = [(f, size + f.bit_count() - t if union else t) for f in fixed]
+        need, trimmed, around, lists = 0, [], -1, None
         for w in ready[i]:
-            nbr_union = 0
-            for u in nbrs[w]:
-                nbr_union |= masks[u]
-            if masks[w] & ~nbr_union:
-                return True
-            if union and masks[w].bit_count() > k:
-                mw = masks[w]
-                rest = mw
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    trimmed = mw & ~bit
-                    if all(
-                        (trimmed | masks[u]).bit_count() >= t for u in nbrs[w]
-                    ):
-                        return True
-        return False
+            rest = [masks[u] for u in nbrs[w] if u != i]
+            cover = 0
+            for f in rest:
+                cover |= f
+            if w == i:
+                around, lists = cover, (rest if union and size > k else None)
+                continue
+            mw = masks[w]
+            need |= mw & ~cover
+            if union and mw.bit_count() > k:
+                bits = _removable_colors(mw, rest, t)
+                trimmed += (mw ^ (1 << c) for c in range(bits.bit_length())
+                            if bits >> c & 1)
+        return iter(candidates[key]), used, caps, need, trimmed, around, lists
 
     for sizes in itertools.product(*size_ranges):
         if union and any(sizes[u] + sizes[v] < t for u, v in edges):
             continue
-        # A depth-first walk without recursion: levels[i] holds an iterator
-        # over the candidates left for vertex i and the number of colors in
-        # use before it. Entries of masks past the top level are stale, but
-        # neither the checks nor prunable(i) read beyond masks[i].
-        levels = [(iter(_candidate_sets(0, sizes[0])), 0)]
+        # A depth-first walk without recursion: levels[i] is what enter()
+        # gave vertex i. Entries of masks past the top level are stale, but
+        # a level reads only the masks below it.
+        levels = [enter(0, 0, sizes[0])]
         while levels:
             i = len(levels) - 1
-            candidates, before = levels[i]
-            for cols in candidates:
-                meter.spend(1)
-                m = 0
-                for c in cols:
-                    m |= 1 << c
-                ok = True
-                for u in earlier[i]:
-                    if union:
-                        if (m | masks[u]).bit_count() < t:
-                            ok = False
-                            break
-                    elif (m & masks[u]).bit_count() > t:
-                        ok = False
+            cands, before, caps, need, trimmed, around, lists = levels[i]
+            # Every candidate tried is one node. The first m that meets each
+            # earlier neighbor and leaves no ready vertex prunable is taken
+            # (break); an exhausted level is popped.
+            for m in cands:
+                meter.nodes += 1
+                if meter.nodes >= meter.next_check:
+                    meter.spend(0)
+                for f, cap in caps:
+                    if (m & f).bit_count() > cap:
                         break
-                if not ok:
-                    continue
-                masks[i] = m
-                if not prunable(i):
-                    break
+                else:
+                    for tr in trimmed:
+                        if (tr | m).bit_count() >= t:
+                            break
+                    else:
+                        if not (need & ~m or m & ~around
+                                or lists and _removable_colors(m, lists, t)):
+                            break
             else:
                 levels.pop()
                 continue
+            masks[i] = m
             now = max(before, m.bit_length())
             if i + 1 == n:
                 yield tuple(masks), now
             else:
-                levels.append((iter(_candidate_sets(now, sizes[i + 1])), now))
+                levels.append(enter(i + 1, now, sizes[i + 1]))
 
 
 def _pad_witness(
@@ -183,13 +206,14 @@ def decide_choosable(
         return ChoosabilityVerdict(CHOOSABLE, None, 0, 0)
     core_ids = core.kernel_vertices
     tested = 0
+    candidates: dict[tuple[int, int], list[int]] = {}
     try:
         for size in range(len(core_ids), 0, -1):
             for subset in itertools.combinations(core_ids, size):
                 h, kept = induced_subgraph(g, subset)
                 if min(h.degree(v) for v in range(h.n)) < p.k:
                     continue
-                for masks, universe in _tight_assignments(h, p, meter):
+                for masks, universe in _tight_assignments(h, p, meter, candidates):
                     lists = ListAssignment(list(masks), universe)
                     tested += 1
                     res = solve(h, lists, meter)

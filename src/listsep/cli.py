@@ -65,7 +65,7 @@ def parse_graph_file(path: str) -> Graph:
         raise ParseError(path, 1, "missing 'n m' header")
     line_no, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise ParseError(path, line_no, f"expected 'n m', got {header!r}")
     n, m = int(parts[0]), int(parts[1])
     if len(lines) - 1 != m:

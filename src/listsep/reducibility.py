@@ -41,9 +41,10 @@ def _require_union_regime(p: SeparationParams) -> None:
 def find_reducible_edges(g: Graph, p: SeparationParams) -> ReducibleEdgeReport:
     """All edges uv with d(u) + d(v) <= t + min(|N(u) & N(v)|, 2)."""
     _require_union_regime(p)
+    nbr_sets = [set(g.neighbors(v)) for v in range(g.n)]
     found = []
     for u, v in g.edges():
-        a = g.common_neighbor_count(u, v)
+        a = len(nbr_sets[u] & nbr_sets[v])
         dsum = g.degree(u) + g.degree(v)
         if dsum <= p.t + min(a, 2):
             found.append(ReducibleEdge(u, v, min(a, 2), a, dsum))

@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 import random
 
+from listsep import choosability
 from listsep.assignments import ListAssignment, SeparationParams, is_valid_assignment
+from listsep.budget import BudgetExceeded, Meter
 from listsep.choosability import (
     CHOOSABLE,
     NOT_CHOOSABLE,
@@ -15,7 +17,13 @@ from listsep.choosability import (
     verify_not_choosable,
 )
 from listsep.constructions import build_book, build_gadget35
-from listsep.graph import Graph, complete_bipartite_graph, complete_graph, cycle_graph
+from listsep.graph import (
+    Graph,
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    icosahedron_graph,
+)
 from listsep.reducibility import greedy_kernel
 from listsep.solver import UNSAT, solve
 
@@ -121,6 +129,16 @@ def test_metering_leaves_counts_of_runs_within_budget():
         assert (verdict.assignments_tested, verdict.nodes_used) == (216, 290_930)
 
 
+def test_budgeted_counts_of_graphs_past_the_budget():
+    p, limits = SeparationParams(3, 5), Budget(max_nodes=400_000)
+    for g, tested in ((complete_graph(5), 701), (icosahedron_graph(), 2_534),
+                      (complete_bipartite_graph(4, 4), 0)):
+        verdict = decide_choosable(g, p, limits)
+        assert (verdict.verdict, verdict.assignments_tested, verdict.nodes_used) == (
+            RESOURCE_LIMIT, tested, 400_001)
+        assert verdict.witness is None
+
+
 def test_plain_k_choosability_at_t_equal_k():
     # at t = k the decision coincides with plain k-choosability
     p = SeparationParams(2, 2)
@@ -164,3 +182,162 @@ def test_book_witnesses_verify_for_their_parameters():
     for k, t in [(2, 3), (2, 4)]:
         inst = build_book(k, t)
         assert verify_not_choosable(inst.graph, inst.lists, inst.params)
+
+
+def reference_candidate_sets(used: int, size: int) -> list[tuple[int, ...]]:
+    """The enumerator's canonical color sets as tuples, sorted."""
+    out = []
+    for fresh in range(size + 1):
+        old_needed = size - fresh
+        if old_needed > used:
+            continue
+        new_block = tuple(range(used, used + fresh))
+        for old in itertools.combinations(range(used), old_needed):
+            out.append(old + new_block)
+    out.sort()
+    return out
+
+
+def reference_tight_assignments(h: Graph, p: SeparationParams, meter: Meter):
+    """The enumeration by its definition: every candidate built from its color
+    tuple, checked against each earlier neighbor, and every ready vertex's
+    safe-vertex and removable-color test rerun from its whole neighborhood."""
+    n = h.n
+    k, t = p.k, p.t
+    union = p.regime == "union"
+    if union:
+        size_ranges = [range(k, min(h.degree(v), t) + 1) for v in range(n)]
+    else:
+        size_ranges = [range(k, k + 1)] * n
+    edges = h.edges()
+    nbrs = [h.neighbors(v) for v in range(n)]
+    earlier = [[u for u in nbrs[v] if u < v] for v in range(n)]
+    ready: list[list[int]] = [[] for _ in range(n)]
+    for w in range(n):
+        ready[max(w, *nbrs[w])].append(w)
+
+    masks = [0] * n
+
+    def prunable(i: int) -> bool:
+        for w in ready[i]:
+            nbr_union = 0
+            for u in nbrs[w]:
+                nbr_union |= masks[u]
+            if masks[w] & ~nbr_union:
+                return True
+            if union and masks[w].bit_count() > k:
+                mw = masks[w]
+                rest = mw
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    trimmed = mw & ~bit
+                    if all(
+                        (trimmed | masks[u]).bit_count() >= t for u in nbrs[w]
+                    ):
+                        return True
+        return False
+
+    for sizes in itertools.product(*size_ranges):
+        if union and any(sizes[u] + sizes[v] < t for u, v in edges):
+            continue
+        levels = [(iter(reference_candidate_sets(0, sizes[0])), 0)]
+        while levels:
+            i = len(levels) - 1
+            candidates, before = levels[i]
+            for cols in candidates:
+                meter.spend(1)
+                m = 0
+                for c in cols:
+                    m |= 1 << c
+                ok = True
+                for u in earlier[i]:
+                    if union:
+                        if (m | masks[u]).bit_count() < t:
+                            ok = False
+                            break
+                    elif (m & masks[u]).bit_count() > t:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                masks[i] = m
+                if not prunable(i):
+                    break
+            else:
+                levels.pop()
+                continue
+            now = max(before, m.bit_length())
+            if i + 1 == n:
+                yield tuple(masks), now
+            else:
+                levels.append((iter(reference_candidate_sets(now, sizes[i + 1])), now))
+
+
+def seeded_cases(count: int, seed: int):
+    """(core, params) for `count` random graphs whose k-core is nonempty,
+    n <= 8, k 1..3 and t 0..7, so both regimes occur."""
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(2, 8)
+        density = rng.choice((0.5, 0.7, 0.9, 1.0))
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
+        ]
+        p = SeparationParams(rng.randint(1, 3), rng.randint(0, 7))
+        core = greedy_kernel(Graph(n, edges), p.k).kernel
+        if core.n:
+            count -= 1
+            yield core, p
+
+
+def enumeration_record(enumerate_on, h: Graph, p: SeparationParams, max_nodes: int):
+    """Every (masks, universe, nodes charged) the enumeration yields within
+    max_nodes, then the nodes charged when it ended."""
+    meter = Meter(Budget(max_nodes=max_nodes))
+    out = []
+    try:
+        for masks, universe in enumerate_on(h, p, meter):
+            out.append((masks, universe, meter.nodes))
+    except BudgetExceeded:
+        pass
+    return out, meter.nodes
+
+
+def test_enumeration_matches_reference():
+    regimes, shared = set(), {}
+    for h, p in seeded_cases(300, 2024):
+        regimes.add(p.regime)
+        mine = enumeration_record(
+            lambda h, p, meter: choosability._tight_assignments(h, p, meter, shared),
+            h, p, 3_000,
+        )
+        assert mine == enumeration_record(reference_tight_assignments, h, p, 3_000)
+    assert regimes == {"union", "intersection"}
+
+
+def test_candidate_masks_match_reference_sets():
+    for used in range(6):
+        for size in range(5):
+            expected = reference_candidate_sets(used, size)
+            assert choosability._candidate_masks(used, size) == [
+                sum(1 << c for c in cols) for cols in expected
+            ]
+
+
+def test_decisions_match_reference_enumeration(monkeypatch):
+    cases = list(seeded_cases(60, 2025)) + [
+        (complete_graph(5), SeparationParams(3, 5)),
+        (complete_bipartite_graph(3, 3), SeparationParams(3, 5)),
+        (cycle_graph(5), SeparationParams(2, 2)),
+        (complete_graph(4), SeparationParams(3, 1)),
+    ]
+
+    def reference(h, p, meter, candidates):
+        return reference_tight_assignments(h, p, meter)
+
+    for limits in (Budget(max_nodes=1_000), Budget(max_nodes=50_000)):
+        mine = [decide_choosable(g, p, limits) for g, p in cases]
+        with monkeypatch.context() as patch:
+            patch.setattr(choosability, "_tight_assignments", reference)
+            assert mine == [decide_choosable(g, p, limits) for g, p in cases]

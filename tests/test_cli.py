@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,6 +48,7 @@ def test_parse_graph_file(tmp_path):
         ("2 1\n0 5\n", "out of range"),
         ("2 2\n0 1\n", "announces"),
         ("nonsense\n", "expected"),
+        ("\u00b2 0\n", "expected"),
     ],
 )
 def test_parse_graph_rejects(tmp_path, content, fragment):
@@ -99,6 +103,17 @@ def test_solve_budget_flags(tmp_path, capsys):
     assert capsys.readouterr().out == "verdict=RESOURCE_LIMIT\nnodes=1024\n"
     assert main([*argv, "--max-nodes", "6748", "--max-seconds", "3600"]) == EXIT_NEGATIVE
     assert capsys.readouterr().out == "verdict=UNSAT\nnodes=6748\n"
+
+
+def test_runs_as_a_module_from_a_checkout():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-m", "listsep", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == EXIT_OK, run.stderr
+    assert "check-choosable" in run.stdout
 
 
 def test_internal_error_is_not_a_negative_verdict(tmp_path, monkeypatch, capsys):
