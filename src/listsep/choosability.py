@@ -23,7 +23,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .assignments import ListAssignment, SeparationParams, is_valid_assignment
+from .assignments import (
+    CheckResult,
+    ListAssignment,
+    SeparationParams,
+    is_valid_assignment,
+)
 from .budget import RESOURCE_LIMIT, Budget, BudgetExceeded, Meter
 from .graph import Graph, induced_subgraph
 from .reducibility import greedy_kernel
@@ -230,9 +235,22 @@ def decide_choosable(
 
 
 def verify_not_choosable(
-    g: Graph, lists: ListAssignment, p: SeparationParams
-) -> bool:
-    """True iff `lists` is a valid (k,t)-assignment of g with no coloring."""
-    if not is_valid_assignment(g, lists, p):
+    g: Graph,
+    lists: ListAssignment,
+    p: SeparationParams,
+    meter: Meter | None = None,
+    validity: CheckResult | None = None,
+) -> bool | None:
+    """True iff `lists` is a valid (k,t)-assignment of g with no coloring.
+
+    With a `meter` the solve is charged to it, and the answer is None when
+    its budget runs out first. A caller that has already checked the
+    assignment passes the `is_valid_assignment(g, lists, p)` result as
+    `validity`, and it is not checked again.
+    """
+    if validity is None:
+        validity = is_valid_assignment(g, lists, p)
+    if not validity:
         return False
-    return solve(g, lists).verdict == UNSAT
+    verdict = solve(g, lists, meter).verdict
+    return None if verdict == RESOURCE_LIMIT else verdict == UNSAT

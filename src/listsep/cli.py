@@ -214,7 +214,10 @@ def _cmd_verify_witness(args, out: _Out) -> int:
         out.emit("violation", valid.reason)
         out.emit("confirmed", "false")
         return EXIT_NEGATIVE
-    confirmed = verify_not_choosable(g, lists, p)
+    confirmed = verify_not_choosable(g, lists, p, Meter(_budget(args)), valid)
+    if confirmed is None:
+        out.emit("confirmed", "unknown")
+        return EXIT_RESOURCE
     out.emit("confirmed", str(confirmed).lower())
     return EXIT_OK if confirmed else EXIT_NEGATIVE
 
@@ -366,6 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--universe", type=int, default=None)
+    p.add_argument("--max-nodes", type=int, default=sys.maxsize,
+                   help="default: no limit")
+    p.add_argument("--max-seconds", type=float, default=None)
 
     p = add("construct", _cmd_construct, help="emit a non-choosable instance")
     p.add_argument("family", choices=("book", "gadget35"))

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import listsep.choosability
 import listsep.cli
+from listsep.assignments import ListAssignment
 from listsep.cli import (
     EXIT_INTERNAL,
     EXIT_NEGATIVE,
@@ -24,7 +26,7 @@ from listsep.cli import (
     parse_lists_file,
 )
 from listsep.constructions import build_book, build_gadget35
-from listsep.graph import cycle_graph, path_graph
+from listsep.graph import complete_graph, cycle_graph, path_graph
 
 GOLDEN = str(Path(__file__).parent / "data" / "tuple_table_golden.txt")
 
@@ -93,16 +95,30 @@ def test_solve_exit_codes(tmp_path):
 
 
 def test_solve_budget_flags(tmp_path, capsys):
-    inst = build_book(4, 7)    # refuted in 6,748 nodes
-    g = write(tmp_path, "g.txt", format_graph(inst.graph))
-    lists = write(tmp_path, "l.txt", format_lists(inst.lists))
+    # K8 from seven colors: symmetric, so its 13,699 nodes do not depend on
+    # the vertex order.
+    g = write(tmp_path, "g.txt", format_graph(complete_graph(8)))
+    lists = write(tmp_path, "l.txt",
+                  format_lists(ListAssignment.from_sets([range(7)] * 8)))
     argv = ["--format", "machine", "solve", g, lists]
     assert main([*argv, "--max-nodes", "100"]) == EXIT_RESOURCE
     assert capsys.readouterr().out == "verdict=RESOURCE_LIMIT\nnodes=101\n"
     assert main([*argv, "--max-seconds", "0"]) == EXIT_RESOURCE
     assert capsys.readouterr().out == "verdict=RESOURCE_LIMIT\nnodes=1024\n"
-    assert main([*argv, "--max-nodes", "6748", "--max-seconds", "3600"]) == EXIT_NEGATIVE
-    assert capsys.readouterr().out == "verdict=UNSAT\nnodes=6748\n"
+    assert main([*argv, "--max-nodes", "13699", "--max-seconds", "3600"]) == EXIT_NEGATIVE
+    assert capsys.readouterr().out == "verdict=UNSAT\nnodes=13699\n"
+
+
+def book37_files(tmp_path: Path) -> list[str]:
+    inst = build_book(3, 7)
+    return [write(tmp_path, "b37.g", format_graph(inst.graph)),
+            write(tmp_path, "b37.l", format_lists(inst.lists))]
+
+
+def test_solve_refutes_book37_without_a_budget(tmp_path, capsys):
+    files = book37_files(tmp_path)
+    assert main(["--format", "machine", "solve", *files]) == EXIT_NEGATIVE
+    assert capsys.readouterr().out == "verdict=UNSAT\nnodes=155\n"
 
 
 def test_runs_as_a_module_from_a_checkout():
@@ -165,6 +181,31 @@ def test_verify_witness_flow(tmp_path):
     # the same lists are not a witness for a wider separation
     args_wide = args[:2] + ["--k", "2", "--t", "4"]
     assert main(["verify-witness", *args_wide]) == EXIT_NEGATIVE
+
+
+def test_verify_witness_budget(tmp_path, capsys, monkeypatch):
+    is_valid = listsep.cli.is_valid_assignment
+    checks = []
+
+    def counted(*args):
+        checks.append(args)
+        return is_valid(*args)
+
+    monkeypatch.setattr(listsep.cli, "is_valid_assignment", counted)
+    monkeypatch.setattr(listsep.choosability, "is_valid_assignment", counted)
+    argv = ["--format", "machine", "verify-witness", *book37_files(tmp_path),
+            "--k", "3", "--t", "7"]
+    assert main([*argv, "--max-nodes", "154"]) == EXIT_RESOURCE
+    assert capsys.readouterr().out == "assignment_valid=true\nconfirmed=unknown\n"
+    assert main([*argv, "--max-nodes", "155"]) == EXIT_OK
+    assert capsys.readouterr().out == "assignment_valid=true\nconfirmed=true\n"
+    assert len(checks) == 2    # one validity check per run
+    k8 = [write(tmp_path, "k8.g", format_graph(complete_graph(8))),
+          write(tmp_path, "k8.l",
+                format_lists(ListAssignment.from_sets([range(7)] * 8)))]
+    assert main(["verify-witness", *k8, "--k", "7", "--t", "7",
+                 "--max-seconds", "0"]) == EXIT_RESOURCE
+    assert "confirmed: unknown" in capsys.readouterr().out
 
 
 def test_audit_tuples_cli(capsys):
