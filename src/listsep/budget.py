@@ -19,10 +19,21 @@ CLOCK_EVERY = 1024
 
 @dataclass(frozen=True)
 class Budget:
-    """Search budget; exceeding it yields the distinct RESOURCE_LIMIT verdict."""
+    """Search budget; exceeding it yields the distinct RESOURCE_LIMIT verdict.
+
+    Zero is a valid limit of either kind; a negative one, or a NaN time
+    limit, raises ValueError.
+    """
 
     max_nodes: int = 10_000_000
     max_seconds: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_nodes < 0:
+            raise ValueError(f"max_nodes must be >= 0, got {self.max_nodes}")
+        # `not >=` also rejects NaN, which compares false with everything.
+        if self.max_seconds is not None and not self.max_seconds >= 0:
+            raise ValueError(f"max_seconds must be >= 0, got {self.max_seconds}")
 
 
 class BudgetExceeded(Exception):
@@ -32,10 +43,13 @@ class BudgetExceeded(Exception):
 class Meter:
     """Nodes charged so far against a Budget.
 
-    `spend` raises BudgetExceeded as soon as the count passes `max_nodes`, and
-    at the first clock read past the deadline; the clock is read at most once
-    every CLOCK_EVERY nodes. Callers that charge node by node may compare
-    their own count with `next_check` and call `spend` only when it is due.
+    `spend(amount)` charges `amount` nodes as if they came one at a time: it
+    raises BudgetExceeded on the node that passes `max_nodes`, and at the
+    first clock read past the deadline, leaving `nodes` at the node that
+    raised. The clock is read on every CLOCK_EVERY-th node, so the count at
+    which a run stops does not depend on how its nodes were grouped into
+    charges. `nodes < next_check` holds between charges; callers may compare
+    their own count with `next_check` and charge only when it is due.
     """
 
     __slots__ = ("max_nodes", "deadline", "nodes", "next_check")
@@ -57,11 +71,12 @@ class Meter:
             self.next_check = min(self.next_check, self.nodes + CLOCK_EVERY)
 
     def spend(self, amount: int) -> None:
-        self.nodes += amount
-        if self.nodes < self.next_check:
-            return
-        if self.nodes > self.max_nodes:
-            raise BudgetExceeded
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded
-        self._schedule()
+        nodes = self.nodes + amount
+        while nodes >= self.next_check:
+            self.nodes = self.next_check
+            if self.nodes > self.max_nodes:
+                raise BudgetExceeded
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise BudgetExceeded
+            self._schedule()
+        self.nodes = nodes

@@ -76,8 +76,15 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
     vertex (one owning a color no neighbor list contains) or, in the union
     regime, a removable color, are pruned: the reduced witness lives on a
     smaller subgraph or assignment that is enumerated separately.
-    `candidates` holds the `_candidate_masks` lists by (used, size) for the
-    whole decision that h belongs to.
+
+    `candidates` is a memo for the whole decision that h belongs to. Under
+    (used, size) it holds the `_candidate_masks` list; under
+    (used, size, f, c) the bitset over that list's indices of the masks m
+    with |m & f| <= c. Every candidate tried is one node, but a level tests
+    its candidates in bulk: on entry it ANDs the memoised bitsets into the
+    set of those that pass, the walk jumps from one of them to the next and
+    charges the meter for the candidates it skipped, and only i's own
+    removable-color test runs per candidate.
     """
     n = h.n
     k, t = p.k, p.t
@@ -96,39 +103,65 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
 
     masks = [0] * n
 
-    def enter(i: int, used: int, size: int):
-        """Vertex i's level with `used` colors taken below it: its
-        candidates and the parts of their tests that read only fixed masks.
+    def enter(i: int, used: int, size: int) -> list:
+        """Vertex i's level with `used` colors taken below it, as
+        [cands, alive, pos, used, lists]: pos is the index of the next
+        candidate to try, and bit j of alive is set iff cands[pos + j]
+        passes every test but i's removable-color one.
 
         m meets an earlier neighbor list f iff |m & f| <= cap (cap = t in
         the intersection regime, |m| + |f| - t in the union regime). A
         ready w != i turns prunable iff m misses one of w's colors that no
         other neighbor has (`need` gathers them) or m reaches t with w's list
-        less a color removable against the others (`trimmed`); i does iff m
-        has a color off `around` (its neighbors' union, or every color while
-        one is unfixed) or, with `lists` set, a removable color.
+        less a color removable against the others (a `trimmed` list tr,
+        |tr | m| >= t iff |m & tr| <= |tr| + size - t); i does iff m has a
+        color off its neighbors' union (tested once they are all fixed) or,
+        with `lists` set, a removable color.
         """
         key = (used, size)
-        if key not in candidates:
-            candidates[key] = _candidate_masks(used, size)
-        fixed = [masks[u] for u in earlier[i]]
-        caps = [(f, size + f.bit_count() - t if union else t) for f in fixed]
-        need, trimmed, around, lists = 0, [], -1, None
+        cands = candidates.get(key)
+        if cands is None:
+            cands = candidates[key] = _candidate_masks(used, size)
+
+        def at_most(f: int, c: int) -> int:
+            """Bitset of the m in cands with |m & f| <= c."""
+            if c >= min(size, f.bit_count()):
+                return -1
+            if c < 0:
+                return 0
+            memo = (used, size, f, c)
+            bits = candidates.get(memo)
+            if bits is None:
+                bits = candidates[memo] = int("".join(
+                    "1" if (m & f).bit_count() <= c else "0"
+                    for m in reversed(cands)), 2)
+            return bits
+
+        alive = (1 << len(cands)) - 1
+        for u in earlier[i]:
+            f = masks[u]
+            alive &= at_most(f, size + f.bit_count() - t if union else t)
+        need, lists = 0, None
         for w in ready[i]:
             rest = [masks[u] for u in nbrs[w] if u != i]
             cover = 0
             for f in rest:
                 cover |= f
             if w == i:
-                around, lists = cover, (rest if union and size > k else None)
+                alive &= at_most(~cover & ((1 << used + size) - 1), 0)
+                if union and size > k:
+                    lists = rest
                 continue
             mw = masks[w]
             need |= mw & ~cover
             if union and mw.bit_count() > k:
                 bits = _removable_colors(mw, rest, t)
-                trimmed += (mw ^ (1 << c) for c in range(bits.bit_length())
-                            if bits >> c & 1)
-        return iter(candidates[key]), used, caps, need, trimmed, around, lists
+                for c in range(bits.bit_length()):
+                    if bits >> c & 1:
+                        tr = mw ^ (1 << c)
+                        alive &= ~at_most(tr, tr.bit_count() + size - t)
+        alive &= ~at_most(need, need.bit_count() - 1)    # m holds all of need
+        return [cands, alive, 0, used, lists]
 
     for sizes in itertools.product(*size_ranges):
         if union and any(sizes[u] + sizes[v] < t for u, v in edges):
@@ -139,28 +172,24 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
         levels = [enter(0, 0, sizes[0])]
         while levels:
             i = len(levels) - 1
-            cands, before, caps, need, trimmed, around, lists = levels[i]
-            # Every candidate tried is one node. The first m that meets each
-            # earlier neighbor and leaves no ready vertex prunable is taken
-            # (break); an exhausted level is popped.
-            for m in cands:
-                meter.nodes += 1
-                if meter.nodes >= meter.next_check:
-                    meter.spend(0)
-                for f, cap in caps:
-                    if (m & f).bit_count() > cap:
-                        break
-                else:
-                    for tr in trimmed:
-                        if (tr | m).bit_count() >= t:
-                            break
-                    else:
-                        if not (need & ~m or m & ~around
-                                or lists and _removable_colors(m, lists, t)):
-                            break
+            level = levels[i]
+            cands, alive, pos, before, lists = level
+            # The first passing m with no removable color is taken (break);
+            # an exhausted level is popped. The candidates from pos up to
+            # the next passing one are tried, as one charge.
+            while alive:
+                run = (alive & -alive).bit_length()
+                meter.spend(run)
+                alive >>= run
+                pos += run
+                m = cands[pos - 1]
+                if not (lists and _removable_colors(m, lists, t)):
+                    break
             else:
+                meter.spend(len(cands) - pos)
                 levels.pop()
                 continue
+            level[1], level[2] = alive, pos
             masks[i] = m
             now = max(before, m.bit_length())
             if i + 1 == n:
@@ -211,7 +240,7 @@ def decide_choosable(
         return ChoosabilityVerdict(CHOOSABLE, None, 0, 0)
     core_ids = core.kernel_vertices
     tested = 0
-    candidates: dict[tuple[int, int], list[int]] = {}
+    candidates: dict[tuple[int, ...], list[int] | int] = {}
     try:
         for size in range(len(core_ids), 0, -1):
             for subset in itertools.combinations(core_ids, size):

@@ -173,9 +173,10 @@ def _budget(args) -> Budget:
 
 
 def _cmd_solve(args, out: _Out) -> int:
+    limits = _budget(args)
     g = parse_graph_file(args.graph)
     lists = parse_lists_file(args.lists, args.universe)
-    result = solve(g, lists, Meter(_budget(args)))
+    result = solve(g, lists, Meter(limits))
     out.emit("verdict", result.verdict)
     out.emit("nodes", result.nodes_explored)
     if result.witness is not None:
@@ -188,8 +189,9 @@ def _cmd_solve(args, out: _Out) -> int:
 
 
 def _cmd_check_choosable(args, out: _Out) -> int:
+    limits = _budget(args)
     g = parse_graph_file(args.graph)
-    verdict = decide_choosable(g, _params(args), _budget(args))
+    verdict = decide_choosable(g, _params(args), limits)
     out.emit("verdict", verdict.verdict)
     out.emit("assignments_tested", verdict.assignments_tested)
     out.emit("nodes", verdict.nodes_used)
@@ -205,6 +207,7 @@ def _cmd_check_choosable(args, out: _Out) -> int:
 
 
 def _cmd_verify_witness(args, out: _Out) -> int:
+    limits = _budget(args)
     g = parse_graph_file(args.graph)
     lists = parse_lists_file(args.lists, args.universe)
     p = _params(args)
@@ -214,7 +217,7 @@ def _cmd_verify_witness(args, out: _Out) -> int:
         out.emit("violation", valid.reason)
         out.emit("confirmed", "false")
         return EXIT_NEGATIVE
-    confirmed = verify_not_choosable(g, lists, p, Meter(_budget(args)), valid)
+    confirmed = verify_not_choosable(g, lists, p, Meter(limits), valid)
     if confirmed is None:
         out.emit("confirmed", "unknown")
         return EXIT_RESOURCE

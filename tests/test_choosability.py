@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
+from types import SimpleNamespace
 
-from listsep import choosability
+from listsep import budget, choosability
 from listsep.assignments import ListAssignment, SeparationParams, is_valid_assignment
-from listsep.budget import BudgetExceeded, Meter
+from listsep.budget import CLOCK_EVERY, BudgetExceeded, Meter
 from listsep.choosability import (
     CHOOSABLE,
     NOT_CHOOSABLE,
@@ -119,6 +121,23 @@ def test_budget_exhaustion_is_reported_not_coerced():
     )
     assert verdict.verdict == RESOURCE_LIMIT
     assert verdict.witness is None
+
+
+def test_clock_is_read_once_per_1024_nodes(monkeypatch):
+    reads = []
+
+    def monotonic():
+        reads.append(None)
+        return time.monotonic()
+
+    monkeypatch.setattr(budget, "time", SimpleNamespace(monotonic=monotonic))
+    p = SeparationParams(3, 5)
+    for g, max_nodes, expected in ((complete_bipartite_graph(3, 3), 10_000_000, 285),
+                                   (complete_graph(5), 100_000, 98)):
+        reads.clear()
+        verdict = decide_choosable(g, p, Budget(max_nodes, max_seconds=3600))
+        assert len(reads) == 1 + min(verdict.nodes_used, max_nodes) // CLOCK_EVERY
+        assert len(reads) == expected
 
 
 def test_metering_leaves_counts_of_runs_within_budget():
@@ -304,15 +323,27 @@ def enumeration_record(enumerate_on, h: Graph, p: SeparationParams, max_nodes: i
     return out, meter.nodes
 
 
+# Small decisions to cut at every node count up to their end, as (graph,
+# params, nodes the whole decision takes).
+CUT_CASES = [
+    (complete_bipartite_graph(2, 4), SeparationParams(2, 3), 293),
+    (cycle_graph(5), SeparationParams(2, 2), 13),
+    (complete_graph(4), SeparationParams(3, 3), 19),
+]
+
+
 def test_enumeration_matches_reference():
     regimes, shared = set(), {}
-    for h, p in seeded_cases(300, 2024):
+    cases = [(h, p, 3_000) for h, p in seeded_cases(300, 2024)] + [
+        (g, p, max_nodes) for g, p, full in CUT_CASES for max_nodes in range(full + 1)
+    ]
+    for h, p, max_nodes in cases:
         regimes.add(p.regime)
         mine = enumeration_record(
             lambda h, p, meter: choosability._tight_assignments(h, p, meter, shared),
-            h, p, 3_000,
+            h, p, max_nodes,
         )
-        assert mine == enumeration_record(reference_tight_assignments, h, p, 3_000)
+        assert mine == enumeration_record(reference_tight_assignments, h, p, max_nodes)
     assert regimes == {"union", "intersection"}
 
 
@@ -336,8 +367,12 @@ def test_decisions_match_reference_enumeration(monkeypatch):
     def reference(h, p, meter, candidates):
         return reference_tight_assignments(h, p, meter)
 
-    for limits in (Budget(max_nodes=1_000), Budget(max_nodes=50_000)):
-        mine = [decide_choosable(g, p, limits) for g, p in cases]
-        with monkeypatch.context() as patch:
-            patch.setattr(choosability, "_tight_assignments", reference)
-            assert mine == [decide_choosable(g, p, limits) for g, p in cases]
+    runs = [(g, p, Budget(max_nodes)) for max_nodes in (1_000, 50_000) for g, p in cases]
+    for g, p, full in CUT_CASES:
+        verdict = decide_choosable(g, p)
+        assert (verdict.verdict, verdict.nodes_used) == (NOT_CHOOSABLE, full)
+        runs += [(g, p, Budget(max_nodes)) for max_nodes in range(full + 1)]
+    mine = [decide_choosable(g, p, limits) for g, p, limits in runs]
+    with monkeypatch.context() as patch:
+        patch.setattr(choosability, "_tight_assignments", reference)
+        assert mine == [decide_choosable(g, p, limits) for g, p, limits in runs]

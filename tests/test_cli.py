@@ -109,6 +109,19 @@ def test_solve_budget_flags(tmp_path, capsys):
     assert capsys.readouterr().out == "verdict=UNSAT\nnodes=13699\n"
 
 
+@pytest.mark.parametrize("flags", [["--max-seconds", "nan"], ["--max-seconds", "-1"],
+                                   ["--max-nodes", "-1"]])
+def test_bad_budgets_are_usage_errors(tmp_path, capsys, flags):
+    g = write(tmp_path, "k2.txt", "2 1\n0 1\n")
+    lists = write(tmp_path, "l.txt", "0: 1\n1: 1\n")
+    for argv in (["solve", g, lists], ["check-choosable", g, "--k", "1", "--t", "1"],
+                 ["verify-witness", g, lists, "--k", "1", "--t", "1"]):
+        assert main([*argv, *flags]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be >= 0" in captured.err
+
+
 def book37_files(tmp_path: Path) -> list[str]:
     inst = build_book(3, 7)
     return [write(tmp_path, "b37.g", format_graph(inst.graph)),
