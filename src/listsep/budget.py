@@ -48,8 +48,7 @@ class Meter:
     first clock read past the deadline, leaving `nodes` at the node that
     raised. The clock is read on every CLOCK_EVERY-th node, so the count at
     which a run stops does not depend on how its nodes were grouped into
-    charges. `nodes < next_check` holds between charges; callers may compare
-    their own count with `next_check` and charge only when it is due.
+    charges.
     """
 
     __slots__ = ("max_nodes", "deadline", "nodes", "next_check")

@@ -17,7 +17,7 @@ import traceback
 from fractions import Fraction
 
 from .assignments import ListAssignment, SeparationParams, is_valid_assignment
-from .budget import Budget, Meter
+from .budget import RESOURCE_LIMIT, Budget, Meter
 from .choosability import (
     CHOOSABLE,
     NOT_CHOOSABLE,
@@ -41,6 +41,9 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+
+_EXIT = {SAT: EXIT_OK, CHOOSABLE: EXIT_OK, UNSAT: EXIT_NEGATIVE,
+         NOT_CHOOSABLE: EXIT_NEGATIVE, RESOURCE_LIMIT: EXIT_RESOURCE}
 
 
 class ParseError(ValueError):
@@ -181,11 +184,7 @@ def _cmd_solve(args, out: _Out) -> int:
     out.emit("nodes", result.nodes_explored)
     if result.witness is not None:
         out.emit("witness", _witness_text(result.witness))
-    if result.verdict == SAT:
-        return EXIT_OK
-    if result.verdict == UNSAT:
-        return EXIT_NEGATIVE
-    return EXIT_RESOURCE
+    return _EXIT[result.verdict]
 
 
 def _cmd_check_choosable(args, out: _Out) -> int:
@@ -199,11 +198,7 @@ def _cmd_check_choosable(args, out: _Out) -> int:
         with open(args.emit_witness, "w", encoding="utf-8") as fh:
             fh.write(format_lists(verdict.witness))
         out.emit("witness_file", args.emit_witness)
-    if verdict.verdict == CHOOSABLE:
-        return EXIT_OK
-    if verdict.verdict == NOT_CHOOSABLE:
-        return EXIT_NEGATIVE
-    return EXIT_RESOURCE
+    return _EXIT[verdict.verdict]
 
 
 def _cmd_verify_witness(args, out: _Out) -> int:
@@ -293,7 +288,7 @@ def _cmd_find_reducible(args, out: _Out) -> int:
 def _cmd_kernel(args, out: _Out) -> int:
     g = parse_graph_file(args.graph)
     result = greedy_kernel(g, args.k)
-    out.emit("kernel_size", result.kernel.n)
+    out.emit("kernel_size", len(result.kernel_vertices))
     out.emit("kernel_vertices", ",".join(map(str, result.kernel_vertices)))
     out.emit("removal_order", ",".join(map(str, result.order)))
     out.emit("certified_colorable", str(result.empty).lower())
@@ -333,7 +328,7 @@ def _cmd_prop31_suite(args, out: _Out) -> int:
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="listsep",
         description="List coloring with separation: search, constructions, audits.",
@@ -344,37 +339,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name: str, func, *parents: argparse.ArgumentParser, **kwargs):
+        p = sub.add_parser(name, parents=parents, **kwargs)
         p.set_defaults(func=func)
         return p
 
-    p = add("solve", _cmd_solve, help="decide list colorability of graph+lists")
-    p.add_argument("graph")
-    p.add_argument("lists")
-    p.add_argument("--universe", type=int, default=None)
-    p.add_argument("--max-nodes", type=int, default=sys.maxsize,
-                   help="default: no limit")
-    p.add_argument("--max-seconds", type=float, default=None)
+    # Argument groups shared through `parents=`. Subparsers share a parent's
+    # argument objects, and set_defaults on one subparser would change the
+    # default in all of them, so check-choosable's node budget has its own.
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("graph")
+    lists = argparse.ArgumentParser(add_help=False)
+    lists.add_argument("lists")
+    lists.add_argument("--universe", type=int, default=None)
+    kt = argparse.ArgumentParser(add_help=False)
+    kt.add_argument("--k", type=int, required=True)
+    kt.add_argument("--t", type=int, required=True)
 
-    p = add("check-choosable", _cmd_check_choosable, help="decide (k,t)-choosability")
-    p.add_argument("graph")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--max-nodes", type=int, default=10_000_000)
-    p.add_argument("--max-seconds", type=float, default=None)
+    def budget(max_nodes: int, **node_options) -> argparse.ArgumentParser:
+        flags = argparse.ArgumentParser(add_help=False)
+        flags.add_argument("--max-nodes", type=int, default=max_nodes, **node_options)
+        flags.add_argument("--max-seconds", type=float, default=None)
+        return flags
+
+    unlimited = budget(sys.maxsize, help="default: no limit")
+
+    add("solve", _cmd_solve, graph, lists, unlimited,
+        help="decide list colorability of graph+lists")
+
+    p = add("check-choosable", _cmd_check_choosable, graph, kt,
+            budget(10_000_000), help="decide (k,t)-choosability")
     p.add_argument("--emit-witness", default=None, metavar="FILE")
 
-    p = add("verify-witness", _cmd_verify_witness,
-            help="confirm lists form a valid (k,t)-assignment with no coloring")
-    p.add_argument("graph")
-    p.add_argument("lists")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--universe", type=int, default=None)
-    p.add_argument("--max-nodes", type=int, default=sys.maxsize,
-                   help="default: no limit")
-    p.add_argument("--max-seconds", type=float, default=None)
+    # kt before lists keeps --k and --t ahead of --universe in the usage line.
+    add("verify-witness", _cmd_verify_witness, graph, kt, lists, unlimited,
+        help="confirm lists form a valid (k,t)-assignment with no coloring")
 
     p = add("construct", _cmd_construct, help="emit a non-choosable instance")
     p.add_argument("family", choices=("book", "gadget35"))
@@ -383,22 +382,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-graph", default=None, metavar="FILE")
     p.add_argument("--out-lists", default=None, metavar="FILE")
 
-    p = add("mad", _cmd_mad, help="exact maximum average degree with witness")
-    p.add_argument("graph")
+    add("mad", _cmd_mad, graph, help="exact maximum average degree with witness")
 
-    p = add("verify-sparse", _cmd_verify_sparse,
-            help="audit the sparsity charge algebra at (k,t)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    add("verify-sparse", _cmd_verify_sparse, kt,
+        help="audit the sparsity charge algebra at (k,t)")
 
-    p = add("find-reducible", _cmd_find_reducible,
-            help="edges with d(u)+d(v) <= t + min(common neighbors, 2)")
-    p.add_argument("graph")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    add("find-reducible", _cmd_find_reducible, graph, kt,
+        help="edges with d(u)+d(v) <= t + min(common neighbors, 2)")
 
-    p = add("kernel", _cmd_kernel, help="peel vertices of degree < k")
-    p.add_argument("graph")
+    p = add("kernel", _cmd_kernel, graph, help="peel vertices of degree < k")
     p.add_argument("--k", type=int, required=True)
 
     p = add("audit-tuples", _cmd_audit_tuples,
@@ -414,7 +406,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(args: argparse.Namespace) -> int:
+# Built once per process: main is called in-process, many times over.
+PARSER = _build_parser()
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        args = PARSER.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     out = _Out(args.format == "machine")
     try:
         return args.func(args, out)
@@ -426,15 +426,6 @@ def dispatch(args: argparse.Namespace) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return EXIT_INTERNAL
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return dispatch(args)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,8 @@ import random
 from dataclasses import dataclass
 
 from .assignments import ListAssignment, SeparationParams, is_valid_assignment
+# induced_subgraph is not used here, but perfbench/spans.py wraps it as
+# `listsep.reducibility.induced_subgraph` for its traced run.
 from .graph import Graph, induced_subgraph, peel
 from .solver import SAT, solve
 
@@ -93,13 +95,12 @@ def check_edge_reduction(
 
 @dataclass(frozen=True)
 class KernelResult:
-    kernel: Graph
     kernel_vertices: tuple[int, ...]   # surviving original ids, sorted
     order: tuple[int, ...]             # removed original ids, in removal order
 
     @property
     def empty(self) -> bool:
-        return self.kernel.n == 0
+        return not self.kernel_vertices
 
 
 def greedy_kernel(g: Graph, k: int) -> KernelResult:
@@ -109,8 +110,7 @@ def greedy_kernel(g: Graph, k: int) -> KernelResult:
     replaying the removal order backwards always leaves a free color.
     """
     order, core = peel(g, k)
-    kernel, kept = induced_subgraph(g, core)
-    return KernelResult(kernel, kept, order)
+    return KernelResult(core, order)
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,13 @@ def run_edge_reduction_suite(
 
     Generates instances until `count` of them meet the hypothesis; each
     instance uses its own seed derived from (seed, index) so runs are
-    reproducible and order-independent.
+    reproducible and order-independent. Raises ValueError when `count` is
+    below 1 or `max_n` below 4, the fewest vertices an instance has.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    if max_n < 4:
+        raise ValueError(f"max_n must be at least 4, got {max_n}")
     met = 0
     passed = 0
     faults: list[int] = []

@@ -16,6 +16,11 @@ returns to the deepest decision that colored a boundary vertex rather than
 to the previous decision (graph-based backjumping, the cheap end of Prosser's
 conflict-directed backjumping). The skipped decisions cannot change that
 boundary, so their subtrees hold no coloring and every verdict is exact.
+It pays off when a failing part of the graph is independent of decisions
+made before it: K5,5 with lists {0,1} on one side and {2,3} on the other,
+next to a disjoint K4 with lists {4,5,6}, is refuted in 25 nodes instead of
+the 17,406 it takes to refute the K4 again under each of the 1,024
+colorings of K5,5.
 
 Witness order and node counts are implementation details; every SAT witness
 is a proper coloring. Branching on high-degree vertices first refutes the
@@ -33,13 +38,17 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .assignments import Coloring, ListAssignment
-from .budget import RESOURCE_LIMIT, BudgetExceeded, Meter
+from .budget import RESOURCE_LIMIT, Budget, BudgetExceeded, Meter
 from .graph import Graph
 
 SAT = "SAT"
 UNSAT = "UNSAT"
 
 INF = float("inf")
+
+
+def _unlimited() -> Meter:
+    return Meter(Budget(max_nodes=sys.maxsize))
 
 
 @dataclass(frozen=True)
@@ -50,7 +59,8 @@ class SolveResult:
 
 
 class _Search:
-    """Shared state for one search; nodes count every vertex assignment.
+    """Shared state for one search; every vertex assignment is one node,
+    charged to the meter as it is made.
 
     The trail holds (w, 0) for a coloring of w and (w, bit) for a color
     removed from w's candidates; a frame is [vertex, untried colors, trail
@@ -63,15 +73,14 @@ class _Search:
     between decisions no other uncolored vertex is a singleton.
     """
 
-    __slots__ = ("nbrs", "cand", "color", "deg", "key", "depth", "trail",
-                 "nodes", "meter", "charged", "check_at")
+    __slots__ = ("nbrs", "cand", "color", "deg", "key", "depth", "trail", "meter")
 
     def __init__(
         self,
         g: Graph,
         lists: ListAssignment,
         fixed: Mapping[int, int],
-        meter: Meter | None = None,
+        meter: Meter,
     ):
         if len(lists) != g.n:
             raise ValueError(
@@ -82,12 +91,7 @@ class _Search:
         self.color = [-1] * g.n
         self.depth = [0] * g.n    # decision depth that colored each vertex
         self.trail: list[tuple[int, int]] = []
-        self.nodes = 0
         self.meter = meter
-        self.charged = 0
-        self.check_at = (
-            meter.next_check - meter.nodes if meter is not None else sys.maxsize
-        )
         for v, c in fixed.items():
             if not (0 <= v < g.n):
                 raise ValueError(f"fixed vertex {v} out of range")
@@ -97,15 +101,6 @@ class _Search:
         self.deg = [INF if c & (c - 1) == 0 else len(nb) or 1
                     for c, nb in zip(cand, nbrs)]
         self.key = [c.bit_count() / d for c, d in zip(cand, self.deg)]
-
-    def charge(self) -> None:
-        """Pass the nodes made since the last charge on to the meter."""
-        meter = self.meter
-        if meter is None:
-            return
-        meter.spend(self.nodes - self.charged)
-        self.charged = self.nodes
-        self.check_at = self.nodes + meter.next_check - meter.nodes
 
     def pick(self) -> int:
         """Uncolored vertex with the smallest |cand| / deg, lowest id on
@@ -132,6 +127,7 @@ class _Search:
         depth = self.depth
         nbrs = self.nbrs
         trail = self.trail
+        spend = self.meter.spend
         stack = [(v, bit)]
         while stack:
             w, b = stack.pop()
@@ -141,9 +137,7 @@ class _Search:
             key[w] = INF
             depth[w] = d
             trail.append((w, 0))
-            self.nodes += 1
-            if self.nodes >= self.check_at:
-                self.charge()
+            spend(1)
             for u in nbrs[w]:
                 if color[u] < 0 and cand[u] & b:
                     cu = cand[u] = cand[u] & ~b
@@ -264,16 +258,18 @@ def solve_with_precolor(
     verdict is RESOURCE_LIMIT once its budget runs out. Raises ValueError if
     a fixed color is not in the vertex's list.
     """
+    if meter is None:
+        meter = _unlimited()
+    start = meter.nodes
     st = _Search(g, lists, fixed, meter)
     try:
-        found = st.run(1)
+        verdict = SAT if st.run(1) else UNSAT
     except BudgetExceeded:
-        return SolveResult(RESOURCE_LIMIT, None, st.nodes)
-    st.charge()
-    if found:
-        witness: Coloring = {v: st.color[v] for v in range(g.n)}
-        return SolveResult(SAT, witness, st.nodes)
-    return SolveResult(UNSAT, None, st.nodes)
+        verdict = RESOURCE_LIMIT
+    witness: Coloring | None = (
+        {v: st.color[v] for v in range(g.n)} if verdict == SAT else None
+    )
+    return SolveResult(verdict, witness, meter.nodes - start)
 
 
 def solve(
@@ -287,4 +283,4 @@ def count_colorings(g: Graph, lists: ListAssignment, cap: int) -> int:
     """Exact number of proper list colorings, saturating at `cap`."""
     if cap < 1:
         raise ValueError("cap must be positive")
-    return _Search(g, lists, {}).run(cap)
+    return _Search(g, lists, {}, _unlimited()).run(cap)

@@ -34,7 +34,7 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(0)
 
-    def _bfs(self, s: int, t: int) -> list[int] | None:
+    def _bfs(self, s: int) -> list[int]:
         level = [-1] * self.size
         level[s] = 0
         frontier = [s]
@@ -47,7 +47,7 @@ class _Dinic:
                         level[v] = level[u] + 1
                         nxt.append(v)
             frontier = nxt
-        return level if level[t] >= 0 else None
+        return level
 
     def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
         """Push flow along the first s-t path of the level graph; 0 if none.
@@ -81,30 +81,21 @@ class _Dinic:
             cap[e ^ 1] += pushed
         return pushed
 
-    def max_flow(self, s: int, t: int) -> int:
+    def max_flow(self, s: int, t: int) -> tuple[int, list[int]]:
+        """The max flow value, and the levels of the final BFS, which fails
+        to reach t: level[v] >= 0 exactly on the source side of a min cut.
+        """
         flow = 0
         while True:
-            level = self._bfs(s, t)
-            if level is None:
-                return flow
+            level = self._bfs(s)
+            if level[t] < 0:
+                return flow, level
             it = [0] * self.size
             while True:
                 pushed = self._augment(s, t, level, it)
                 if pushed == 0:
                     break
                 flow += pushed
-
-    def source_side(self, s: int) -> set[int]:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for e in self.adj[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
 
 
 def _induced_edge_count(g: Graph, vertices: tuple[int, ...]) -> int:
@@ -130,11 +121,10 @@ def _denser_subgraph(g: Graph, guess: Fraction) -> tuple[int, ...] | None:
     for u, v in g.edges():
         net.add_edge(u, v, b)
         net.add_edge(v, u, b)
-    flow = net.max_flow(s, t)
+    flow, level = net.max_flow(s, t)
     if flow >= n * m * b:
         return None
-    side = net.source_side(s)
-    return tuple(sorted(v for v in side if v < n))
+    return tuple(v for v in range(n) if level[v] >= 0)
 
 
 def mad_exact(g: Graph) -> MadResult:

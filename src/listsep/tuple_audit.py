@@ -113,13 +113,13 @@ def audit_inequality2_consistency(rec: TupleRecord, dv: int) -> bool:
     """True iff (2): 2 d3 + (3/2) d3* + 2 d4 + 2 d5 <= d(v).
 
     Also re-derives (3) for the record's values: subtracting (1)'s left side
-    from (2)'s must give (3)'s left side exactly, and the right sides
-    subtract to 6; a mismatch means the coefficient tables drifted.
+    from (2)'s must give (3)'s left side exactly; a mismatch means the
+    coefficient tables drifted.
     """
     lhs1 = _dot(INEQ1_COEFFS, rec.counts)
     lhs2 = _dot(INEQ2_COEFFS, rec.counts)
     lhs3 = _dot(INEQ3_COEFFS, rec.counts)
-    if lhs2 - lhs1 != lhs3 or dv - (dv - 6) != 6:
+    if lhs2 - lhs1 != lhs3:
         raise AssertionError("inequality tables are inconsistent")
     return lhs2 <= dv
 

@@ -25,6 +25,7 @@ from listsep.graph import (
     complete_graph,
     cycle_graph,
     icosahedron_graph,
+    induced_subgraph,
 )
 from listsep.reducibility import greedy_kernel
 from listsep.solver import UNSAT, solve
@@ -304,10 +305,11 @@ def seeded_cases(count: int, seed: int):
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
         ]
         p = SeparationParams(rng.randint(1, 3), rng.randint(0, 7))
-        core = greedy_kernel(Graph(n, edges), p.k).kernel
-        if core.n:
+        g = Graph(n, edges)
+        kept = greedy_kernel(g, p.k).kernel_vertices
+        if kept:
             count -= 1
-            yield core, p
+            yield induced_subgraph(g, kept)[0], p
 
 
 def enumeration_record(enumerate_on, h: Graph, p: SeparationParams, max_nodes: int):

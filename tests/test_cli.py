@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -107,6 +108,17 @@ def test_solve_budget_flags(tmp_path, capsys):
     assert capsys.readouterr().out == "verdict=RESOURCE_LIMIT\nnodes=1024\n"
     assert main([*argv, "--max-nodes", "13699", "--max-seconds", "3600"]) == EXIT_NEGATIVE
     assert capsys.readouterr().out == "verdict=UNSAT\nnodes=13699\n"
+
+
+def test_budget_defaults():
+    # check-choosable's default must not leak into the commands without one.
+    parse = listsep.cli.PARSER.parse_args
+    kt = ["--k", "1", "--t", "1"]
+    assert parse(["solve", "g", "l"]).max_nodes == sys.maxsize
+    assert parse(["verify-witness", "g", "l", *kt]).max_nodes == sys.maxsize
+    assert parse(["check-choosable", "g", *kt]).max_nodes == 10_000_000
+    assert parse(["solve", "g", "l"]).max_seconds is None
+    assert parse(["check-choosable", "g", *kt]).max_seconds is None
 
 
 @pytest.mark.parametrize("flags", [["--max-seconds", "nan"], ["--max-seconds", "-1"],
@@ -253,6 +265,37 @@ def test_mad_and_sparse_and_kernel(tmp_path, capsys):
     assert "certified_colorable" in capsys.readouterr().out.replace(": ", "=")
 
 
+def test_kernel_machine_output(tmp_path, capsys):
+    k5 = write(tmp_path, "k5.txt", format_graph(complete_graph(5)))
+    assert main(["--format", "machine", "kernel", k5, "--k", "4"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "kernel_size=5\nkernel_vertices=0,1,2,3,4\nremoval_order=\n"
+        "certified_colorable=false\n"
+    )
+    p4 = write(tmp_path, "p4.txt", format_graph(path_graph(4)))
+    assert main(["--format", "machine", "kernel", p4, "--k", "2"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "kernel_size=0\nkernel_vertices=\nremoval_order=0,1,2,3\n"
+        "certified_colorable=true\n"
+    )
+
+
+def test_main_builds_no_parser(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    g = write(tmp_path, "k2.txt", "2 1\n0 1\n")
+    lists = write(tmp_path, "l.txt", "0: 1\n1: 2\n")
+    assert main(["solve", g, lists]) == EXIT_OK
+    assert main(["kernel", g, "--k", "2"]) == EXIT_OK
+    assert built == []
+
+
 def test_find_reducible_cli(tmp_path, capsys):
     c5 = write(tmp_path, "c5.txt", "5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
     assert main(["find-reducible", c5, "--k", "3", "--t", "4"]) == EXIT_OK
@@ -261,6 +304,18 @@ def test_find_reducible_cli(tmp_path, capsys):
 
 def test_suite_cli():
     assert main(["prop31-suite", "--count", "25"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--count", "-3"], "count must be at least 1, got -3"),
+    (["--count", "0"], "count must be at least 1, got 0"),
+    (["--max-n", "3"], "max_n must be at least 4, got 3"),
+])
+def test_suite_rejects_bad_input(capsys, flags, message):
+    assert main(["prop31-suite", *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_usage_errors():

@@ -269,6 +269,19 @@ def test_gadget35_backjumps_over_independent_copies():
     assert res.nodes_explored <= 100
 
 
+def test_backjumping_skips_an_independent_colorable_part():
+    # K5,5 (lists {0,1} on one side, {2,3} on the other) has 1,024
+    # colorings and dom/deg colors it first; the disjoint K4 from three
+    # colors then fails. Backtracking chronologically would refute the K4
+    # again under every coloring of K5,5 (17,406 nodes).
+    k55 = [(u, v) for u in range(5) for v in range(5, 10)]
+    k4 = [(u, v) for u in range(10, 14) for v in range(u + 1, 14)]
+    lists = ListAssignment.from_sets([{0, 1}] * 5 + [{2, 3}] * 5 + [{4, 5, 6}] * 4)
+    res = solve(Graph(14, k55 + k4), lists)
+    assert res.verdict == UNSAT
+    assert res.nodes_explored <= 100
+
+
 def test_gadget35_node_count_does_not_depend_on_labelling():
     inst = build_gadget35()
     g, n = inst.graph, inst.graph.n
