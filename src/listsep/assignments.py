@@ -120,10 +120,6 @@ class SeparationParams:
     def regime(self) -> str:
         return "union" if self.t >= self.k else "intersection"
 
-    @property
-    def separation(self) -> int:
-        return abs(self.t - self.k)
-
 
 @dataclass(frozen=True)
 class CheckResult:

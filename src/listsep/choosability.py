@@ -235,10 +235,7 @@ def decide_choosable(
     enumeration order, so verdicts and witnesses are deterministic.
     """
     meter = Meter(limits)
-    core = greedy_kernel(g, p.k)
-    if core.empty:
-        return ChoosabilityVerdict(CHOOSABLE, None, 0, 0)
-    core_ids = core.kernel_vertices
+    core_ids = greedy_kernel(g, p.k).kernel_vertices
     tested = 0
     candidates: dict[tuple[int, ...], list[int] | int] = {}
     try:

@@ -16,7 +16,7 @@ import sys
 import traceback
 from fractions import Fraction
 
-from .assignments import ListAssignment, SeparationParams, is_valid_assignment
+from .assignments import ListAssignment, SeparationParams, is_valid_assignment, mask_of
 from .budget import RESOURCE_LIMIT, Budget, Meter
 from .choosability import (
     CHOOSABLE,
@@ -100,7 +100,7 @@ def parse_lists_file(path: str, universe: int | None = None) -> ListAssignment:
     lines = _content_lines(path)
     if not lines:
         raise ParseError(path, 1, "empty list file")
-    by_vertex: dict[int, list[int]] = {}
+    by_vertex: dict[int, int] = {}    # vertex -> color mask
     for line_no, text in lines:
         head, sep, tail = text.partition(":")
         if not sep:
@@ -116,21 +116,21 @@ def parse_lists_file(path: str, universe: int | None = None) -> ListAssignment:
             raise ParseError(path, line_no, f"vertex {v} listed twice")
         if not colors:
             raise ParseError(path, line_no, f"vertex {v} has an empty list")
-        if any(c < 0 for c in colors):
-            raise ParseError(path, line_no, f"negative color in {text!r}")
-        by_vertex[v] = colors
+        try:
+            by_vertex[v] = mask_of(colors)
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
     n = max(by_vertex) + 1
     missing = [v for v in range(n) if v not in by_vertex]
     if missing:
         raise ParseError(path, lines[-1][0], f"missing lists for vertices {missing}")
-    top = 1 + max(max(c) for c in by_vertex.values())
+    masks = [by_vertex[v] for v in range(n)]
     if universe is None:
-        universe = top
-    elif universe < top:
-        raise ParseError(path, lines[0][0], f"universe {universe} below max color")
-    return ListAssignment.from_sets(
-        [by_vertex[v] for v in range(n)], universe=universe
-    )
+        universe = max(m.bit_length() for m in masks)
+    try:
+        return ListAssignment(masks, universe)
+    except ValueError as exc:
+        raise ParseError(path, lines[0][0], str(exc)) from None
 
 
 def format_graph(g: Graph) -> str:
@@ -426,7 +426,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

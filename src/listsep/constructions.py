@@ -8,6 +8,9 @@ from dataclasses import dataclass
 from .assignments import ListAssignment, SeparationParams
 from .graph import Graph
 
+# build_book materialises every page, so it refuses larger books up front.
+MAX_BOOK_VERTICES = 100_000
+
 
 @dataclass(frozen=True)
 class ConstructedInstance:
@@ -29,6 +32,7 @@ def build_book(k: int, t: int) -> ConstructedInstance:
     the stated list sizes would drop below k, so the t' = 2k-1 instance is
     built instead and re-tagged (its assignment is also a valid
     (k,t)-assignment); the note records the actual construction parameter.
+    Raises ValueError when n would exceed MAX_BOOK_VERTICES.
     """
     if k < 2:
         raise ValueError("book construction needs k >= 2")
@@ -36,6 +40,13 @@ def build_book(k: int, t: int) -> ConstructedInstance:
         raise ValueError("book construction needs t >= k")
     t_eff = max(t, 2 * k - 1)
     block = t_eff - k + 1
+    pages = 1
+    for _ in range(k):    # stops at the cap, so a huge k costs one step
+        pages *= block
+        if k + pages > MAX_BOOK_VERTICES:
+            raise ValueError(
+                f"book({k},{t}) has more than {MAX_BOOK_VERTICES} vertices"
+            )
     center_lists = [range(i * block, (i + 1) * block) for i in range(k)]
     transversals = list(itertools.product(*center_lists))
 

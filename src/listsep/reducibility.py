@@ -16,6 +16,9 @@ HYPOTHESIS_NOT_MET = "HYPOTHESIS_NOT_MET"
 CRITICAL_FAULT = "CRITICAL_FAULT"
 
 DEFAULT_SEED = 1729
+# The separation parameters the randomized edge-reduction suite samples.
+SUITE_K = 3
+SUITE_T_VALUES = (5, 6, 7, 8)
 
 
 @dataclass(frozen=True)
@@ -128,10 +131,10 @@ class SuiteReport:
 
 
 def _random_instance(
-    rng: random.Random, max_n: int, k: int, t_values: tuple[int, ...]
+    rng: random.Random, max_n: int
 ) -> tuple[Graph, ListAssignment, SeparationParams, tuple[int, int]] | None:
     n = rng.randint(4, max_n)
-    t = rng.choice(t_values)
+    k, t = SUITE_K, rng.choice(SUITE_T_VALUES)
     prob = rng.uniform(0.3, 0.6)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob
@@ -159,8 +162,6 @@ def run_edge_reduction_suite(
     count: int = 1000,
     seed: int = DEFAULT_SEED,
     max_n: int = 7,
-    k: int = 3,
-    t_values: tuple[int, ...] = (5, 6, 7, 8),
 ) -> SuiteReport:
     """Randomized validation of the edge reduction on seeded instances.
 
@@ -183,7 +184,7 @@ def run_edge_reduction_suite(
         rng = random.Random(seed * 1_000_003 + i)
         i += 1
         attempts += 1
-        inst = _random_instance(rng, max_n, k, t_values)
+        inst = _random_instance(rng, max_n)
         if inst is None:
             continue
         g, lists, p, (u, v) = inst

@@ -164,47 +164,34 @@ class _Search:
             key[w] = cand[w].bit_count() / deg[w]
         del trail[mark:]
 
-    def jump_target(self, v: int, limit: int, since: int) -> int:
+    def jump_target(self, v: int, limit: int) -> int:
         """Deepest decision, at most `limit`, that colored a neighbor of the
         uncolored component containing v; 0 when none did.
 
-        The trail from `since` on holds the decision at depth `limit`. Its
-        uncolored neighbors are marked first, so that the common,
-        chronological answer comes as soon as the walk from v meets one,
-        without scanning all of v's neighborhood.
+        It is called once every decision deeper than `limit` is undone, so no
+        colored vertex is deeper than `limit`, and the walk over v's
+        component may stop at the first neighbor colored at depth `limit`:
+        no vertex it has yet to reach can beat it. That is the common,
+        chronological answer.
         """
         color = self.color
         depth = self.depth
         nbrs = self.nbrs
-        trail = self.trail
-        touched = []    # uncolored vertices temporarily marked in color
-        for i in range(since, len(trail)):
-            w, b = trail[i]
-            if not b:
-                for u in nbrs[w]:
-                    if color[u] == -1:
-                        color[u] = -3    # uncolored neighbor of depth `limit`
-                        touched.append(u)
-        best = limit if color[v] == -3 else 0
-        if not best:
-            color[v] = -2    # visited
-            touched.append(v)
-            queue = [v]
-            for w in queue:
-                for u in nbrs[w]:
-                    c = color[u]
-                    if c >= 0:
-                        if depth[u] > best:
-                            best = depth[u]
-                    elif c == -1:
-                        color[u] = -2
-                        touched.append(u)
-                        queue.append(u)
-                    elif c == -3:
-                        best = limit
-                if best == limit:
-                    break
-        for u in touched:
+        best = 0
+        color[v] = -2    # visited
+        queue = [v]
+        for w in queue:
+            for u in nbrs[w]:
+                c = color[u]
+                if c >= 0:
+                    if depth[u] > best:
+                        best = depth[u]
+                elif c == -1:
+                    color[u] = -2
+                    queue.append(u)
+            if best == limit:
+                break
+        for u in queue:
             color[u] = -1
         return best
 
@@ -242,7 +229,7 @@ class _Search:
             # an empty one may skip every decision that left v's component
             # and its boundary unchanged.
             if found == before and frames:
-                del frames[self.jump_target(v, len(frames), frames[-1][2]):]
+                del frames[self.jump_target(v, len(frames)):]
         return found
 
 

@@ -22,7 +22,6 @@ def test_regime_flag():
     assert SeparationParams(3, 5).regime == "union"
     assert SeparationParams(3, 3).regime == "union"
     assert SeparationParams(3, 2).regime == "intersection"
-    assert SeparationParams(3, 5).separation == 2
     with pytest.raises(ValueError):
         SeparationParams(0, 1)
 

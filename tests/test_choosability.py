@@ -108,6 +108,8 @@ def test_empty_kernel_means_choosable():
             result = decide_choosable(g, p)
             assert result.verdict == CHOOSABLE
             assert result.assignments_tested == 0
+            assert result.nodes_used == 0
+            assert result.witness is None
 
 
 def test_choosable_verdict_stable_under_relabeling():

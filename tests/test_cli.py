@@ -71,12 +71,32 @@ def test_parse_lists_file(tmp_path):
     assert lists.universe == 4
     assert lists.colors(0) == (1, 2)
     assert parse_lists_file(path, universe=9).universe == 9
-    with pytest.raises(ParseError):
-        parse_lists_file(write(tmp_path, "gap.txt", "0: 1\n2: 1\n"))
-    with pytest.raises(ParseError):
-        parse_lists_file(write(tmp_path, "dup.txt", "0: 1\n0: 2\n"))
-    with pytest.raises(ParseError):
-        parse_lists_file(path, universe=2)
+
+
+@pytest.mark.parametrize(
+    "content,universe,line,fragment",
+    [
+        ("0: 1\n1 2\n", None, 2, "expected 'v: colors'"),
+        ("0: 1\n1: x\n", None, 2, "non-integer entry"),
+        ("0: 1\n-1: 2\n", None, 2, "negative vertex -1"),
+        ("0: 1\n0: 2\n", None, 2, "vertex 0 listed twice"),
+        ("0: 1\n1:\n", None, 2, "vertex 1 has an empty list"),
+        ("# lists\n0: 1\n1: 2 -3\n2: 1\n", None, 3, "negative color -3"),
+        ("0: 1\n2: 1\n", None, 2, "missing lists for vertices [1]"),
+        ("# lists\n0: 1\n1: 3\n", 2, 2, "uses a color >= universe 2"),
+        ("# lists\n0: 1\n1: 3\n", 0, 2, "universe must contain at least one"),
+    ],
+)
+def test_parse_lists_rejects(tmp_path, capsys, content, universe, line, fragment):
+    path = write(tmp_path, "bad.txt", content)
+    with pytest.raises(ParseError) as err:
+        parse_lists_file(path, universe)
+    assert str(err.value).startswith(f"{path}:{line}: ")
+    assert fragment in str(err.value)
+    g = write(tmp_path, "k2.txt", "2 1\n0 1\n")
+    flags = [] if universe is None else ["--universe", str(universe)]
+    assert main(["solve", g, path, *flags]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
 
 
 def test_roundtrip_gadget(tmp_path):
@@ -206,6 +226,14 @@ def test_verify_witness_flow(tmp_path):
     # the same lists are not a witness for a wider separation
     args_wide = args[:2] + ["--k", "2", "--t", "4"]
     assert main(["verify-witness", *args_wide]) == EXIT_NEGATIVE
+
+
+@pytest.mark.parametrize("k,t", [("10", "30"), ("1000000000", "1000000000")])
+def test_construct_rejects_huge_books(capsys, k, t):
+    assert main(["construct", "book", "--k", k, "--t", t]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: book({k},{t}) has more than 100000 vertices\n"
 
 
 def test_verify_witness_budget(tmp_path, capsys, monkeypatch):

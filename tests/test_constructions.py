@@ -69,6 +69,9 @@ def test_book_rejects_bad_parameters():
         build_book(1, 5)
     with pytest.raises(ValueError):
         build_book(3, 2)
+    # 10 + 21^10 vertices: refused before any page is built
+    with pytest.raises(ValueError, match="more than 100000 vertices"):
+        build_book(10, 30)
 
 
 def test_book_small_instances_unsolvable():
