@@ -1,8 +1,8 @@
 """Color lists, separation parameters, and validity/properness checks.
 
-Colors are small dense integers 0..C-1 for a universe size C; per-vertex
-lists are stored as bitmasks so the enumeration modules can take unions and
-intersections in inner loops cheaply.
+Colors are nonnegative integers; a list is its set of colors, stored as a
+bitmask (bit c set iff c is in the list) so the enumeration modules can take
+unions and intersections in inner loops cheaply.
 """
 
 from __future__ import annotations
@@ -36,31 +36,21 @@ def colors_of(mask: int) -> tuple[int, ...]:
 
 
 class ListAssignment:
-    """Per-vertex color sets over the universe {0..universe-1}."""
+    """Per-vertex nonempty color sets, one bitmask per vertex."""
 
-    __slots__ = ("universe", "_masks")
+    __slots__ = ("_masks",)
 
-    def __init__(self, masks: Sequence[int], universe: int) -> None:
-        if universe < 1:
-            raise ValueError("universe must contain at least one color")
-        full = (1 << universe) - 1
+    def __init__(self, masks: Sequence[int]) -> None:
         for v, m in enumerate(masks):
             if m == 0:
                 raise ValueError(f"empty list at vertex {v}")
-            if m & ~full:
-                raise ValueError(f"vertex {v} uses a color >= universe {universe}")
-        self.universe = universe
+            if m < 0:
+                raise ValueError(f"negative mask at vertex {v}")
         self._masks = tuple(masks)
 
     @classmethod
-    def from_sets(
-        cls, sets: Iterable[Iterable[int]], universe: int | None = None
-    ) -> ListAssignment:
-        masks = [mask_of(s) for s in sets]
-        if universe is None:
-            top = max((m.bit_length() for m in masks), default=1)
-            universe = max(top, 1)
-        return cls(masks, universe)
+    def from_sets(cls, sets: Iterable[Iterable[int]]) -> ListAssignment:
+        return cls([mask_of(s) for s in sets])
 
     def __len__(self) -> int:
         return len(self._masks)
@@ -82,19 +72,19 @@ class ListAssignment:
         if not (0 <= v < len(self)):
             raise ValueError(f"vertex {v} out of range")
         masks = list(self._masks[:v]) + list(self._masks[v + 1 :])
-        return ListAssignment(masks, self.universe)
+        return ListAssignment(masks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ListAssignment):
             return NotImplemented
-        return self.universe == other.universe and self._masks == other._masks
+        return self._masks == other._masks
 
     def __hash__(self) -> int:
-        return hash((self.universe, self._masks))
+        return hash(self._masks)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{v}:{list(self.colors(v))}" for v in range(len(self)))
-        return f"ListAssignment({body}; C={self.universe})"
+        return f"ListAssignment({body})"
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,8 @@ def _removable_colors(m: int, lists: list[int], t: int) -> int:
 
 
 def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: dict):
-    """Yield (masks, universe) for canonical tight assignments on h.
+    """Yield (masks, used) for canonical tight assignments on h, where used
+    is one past the largest color in masks.
 
     h must be nonempty with minimum degree >= k. Branches with a "safe"
     vertex (one owning a color no neighbor list contains) or, in the union
@@ -202,7 +203,7 @@ def _pad_witness(
     g: Graph,
     kept: tuple[int, ...],
     masks: tuple[int, ...],
-    universe: int,
+    first_fresh: int,
     p: SeparationParams,
 ) -> ListAssignment:
     """Extend a subgraph witness to all of g with fresh disjoint lists.
@@ -210,18 +211,20 @@ def _pad_witness(
     Fresh lists of size t (union regime; size k in the intersection regime)
     satisfy every constraint they touch, and any coloring of g restricts to a
     coloring of the subgraph, so the padded assignment stays unsolvable.
+    The fresh colors start at `first_fresh`, which is above every color in
+    `masks`.
     """
     block = p.t if p.regime == "union" else p.k
     local = {v: i for i, v in enumerate(kept)}
     full = []
-    nxt = universe
+    nxt = first_fresh
     for v in range(g.n):
         if v in local:
             full.append(masks[local[v]])
         else:
             full.append(((1 << block) - 1) << nxt)
             nxt += block
-    return ListAssignment(full, nxt)
+    return ListAssignment(full)
 
 
 def decide_choosable(
@@ -244,14 +247,14 @@ def decide_choosable(
                 h, kept = induced_subgraph(g, subset)
                 if min(h.degree(v) for v in range(h.n)) < p.k:
                     continue
-                for masks, universe in _tight_assignments(h, p, meter, candidates):
-                    lists = ListAssignment(list(masks), universe)
+                for masks, used in _tight_assignments(h, p, meter, candidates):
+                    lists = ListAssignment(masks)
                     tested += 1
                     res = solve(h, lists, meter)
                     if res.verdict == RESOURCE_LIMIT:
                         raise BudgetExceeded
                     if res.verdict == UNSAT:
-                        witness = _pad_witness(g, kept, masks, universe, p)
+                        witness = _pad_witness(g, kept, masks, used, p)
                         return ChoosabilityVerdict(
                             NOT_CHOOSABLE, witness, tested, meter.nodes
                         )

@@ -5,8 +5,9 @@ FAIL), 2 usage or parse error, 3 resource limit, 4 internal error.
 
 Graph files: first non-comment line "n m", then m lines "u v" with 0-based
 ids; blank lines and lines starting with "#" are ignored. List files: one
-line per vertex, "v: c1 c2 c3 ..."; the color universe is inferred as
-1 + max color unless --universe overrides it.
+line per vertex, "v: c1 c2 c3 ...", with colors nonnegative integers;
+--universe C only requires every color to be below C, and nothing about it
+is inferred or stored.
 """
 
 from __future__ import annotations
@@ -100,7 +101,11 @@ def parse_lists_file(path: str, universe: int | None = None) -> ListAssignment:
     lines = _content_lines(path)
     if not lines:
         raise ParseError(path, 1, "empty list file")
-    by_vertex: dict[int, int] = {}    # vertex -> color mask
+    if universe is not None and universe < 1:
+        raise ParseError(path, lines[0][0], "universe must contain at least one color")
+    # n lists cover the vertices 0..n-1; a mask stays 0 until its line is read.
+    n = len(lines)
+    masks = [0] * n
     for line_no, text in lines:
         head, sep, tail = text.partition(":")
         if not sep:
@@ -112,25 +117,21 @@ def parse_lists_file(path: str, universe: int | None = None) -> ListAssignment:
             raise ParseError(path, line_no, f"non-integer entry in {text!r}")
         if v < 0:
             raise ParseError(path, line_no, f"negative vertex {v}")
-        if v in by_vertex:
+        if v >= n:
+            raise ParseError(path, line_no, f"vertex {v} out of range for {n} lists")
+        if masks[v]:
             raise ParseError(path, line_no, f"vertex {v} listed twice")
         if not colors:
             raise ParseError(path, line_no, f"vertex {v} has an empty list")
+        if universe is not None and max(colors) >= universe:
+            raise ParseError(
+                path, line_no, f"vertex {v} uses a color >= universe {universe}"
+            )
         try:
-            by_vertex[v] = mask_of(colors)
+            masks[v] = mask_of(colors)
         except ValueError as exc:
             raise ParseError(path, line_no, str(exc)) from None
-    n = max(by_vertex) + 1
-    missing = [v for v in range(n) if v not in by_vertex]
-    if missing:
-        raise ParseError(path, lines[-1][0], f"missing lists for vertices {missing}")
-    masks = [by_vertex[v] for v in range(n)]
-    if universe is None:
-        universe = max(m.bit_length() for m in masks)
-    try:
-        return ListAssignment(masks, universe)
-    except ValueError as exc:
-        raise ParseError(path, lines[0][0], str(exc)) from None
+    return ListAssignment(masks)
 
 
 def format_graph(g: Graph) -> str:

@@ -59,7 +59,7 @@ def build_book(k: int, t: int) -> ConstructedInstance:
     for tup in transversals:
         sets.append(tup)
         labels.append("x(" + ",".join(map(str, tup)) + ")")
-    lists = ListAssignment.from_sets(sets, universe=k * block)
+    lists = ListAssignment.from_sets(sets)
     note = f"built at t'={t_eff}" if t_eff != t else ""
     return ConstructedInstance(
         graph, lists, SeparationParams(k, t), tuple(labels), note
@@ -115,7 +115,7 @@ def build_gadget35() -> ConstructedInstance:
             sets.append(colors)
             labels.append(f"v{2 + off}[a={a},b={b}]")
     graph = Graph(len(sets), edges)
-    lists = ListAssignment.from_sets(sets, universe=10)
+    lists = ListAssignment.from_sets(sets)
     return ConstructedInstance(
         graph, lists, SeparationParams(3, 5), tuple(labels)
     )
@@ -132,5 +132,5 @@ def build_gadget_single(
     sets = [(a,), (b,), *_gadget_lists(a, b, cs)]
     labels = ("vA", "vB", "v2", "v3", "v4", "v5", "v6")
     graph = Graph(7, list(_GADGET_EDGES))
-    lists = ListAssignment.from_sets(sets, universe=max(colors) + 1)
+    lists = ListAssignment.from_sets(sets)
     return ConstructedInstance(graph, lists, SeparationParams(3, 5), labels)

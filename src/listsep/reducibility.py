@@ -143,17 +143,16 @@ def _random_instance(
         return None
     g = Graph(n, edges)
 
-    universe = t + 2
-    sets = [set(rng.sample(range(universe), rng.randint(k, k + 1))) for _ in range(n)]
+    sets = [set(rng.sample(range(t + 2), rng.randint(k, k + 1))) for _ in range(n)]
     # Repair pass: adding fresh colors never breaks union validity, so grow
     # the smaller endpoint of any deficient edge until every union reaches t.
-    fresh = universe
+    fresh = t + 2
     for u, v in g.edges():
         while len(sets[u] | sets[v]) < t:
             target = u if len(sets[u]) <= len(sets[v]) else v
             sets[target].add(fresh)
             fresh += 1
-    lists = ListAssignment.from_sets(sets, universe=fresh)
+    lists = ListAssignment.from_sets(sets)
     edge = rng.choice(g.edges())
     return g, lists, SeparationParams(k, t), edge
 

@@ -162,7 +162,7 @@ def test_criterion_8_solver_completeness():
         ]
         g = Graph(n, edges)
         sets = [set(rng.sample(range(6), rng.randint(1, 3))) for _ in range(n)]
-        lists = ListAssignment.from_sets(sets, universe=6)
+        lists = ListAssignment.from_sets(sets)
         mine = solve(g, lists).verdict == SAT
         oracle = any(
             all(combo[u] != combo[v] for u, v in g.edges())

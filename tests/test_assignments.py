@@ -28,13 +28,16 @@ def test_regime_flag():
 
 def test_list_assignment_basics():
     L = ListAssignment.from_sets([{1, 2, 3}, {1, 2, 3}])
-    assert L.universe == 4
+    assert L == ListAssignment([0b1110, 0b1110])
+    assert hash(L) == hash(ListAssignment([0b1110, 0b1110]))
     assert L.colors(0) == (1, 2, 3)
     assert L.size(1) == 3
     with pytest.raises(ValueError):
         ListAssignment.from_sets([set(), {1}])
-    with pytest.raises(ValueError):
-        ListAssignment.from_sets([{5}], universe=3)
+    # A negative mask is no color set: colors_of(-1) would never end.
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            ListAssignment([bad])
 
 
 def test_identical_lists_valid_at_t_equal_k():
@@ -78,13 +81,13 @@ def test_union_regime_superset_preserves_validity():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
         g = Graph(n, edges)
         sets = [set(rng.sample(range(6), rng.randint(2, 4))) for _ in range(n)]
-        L = ListAssignment.from_sets(sets, universe=7)
+        L = ListAssignment.from_sets(sets)
         if not is_valid_assignment(g, L, p):
             continue
         v = rng.randrange(n)
         grown = [set(s) for s in sets]
         grown[v].add(rng.randrange(7))
-        assert is_valid_assignment(g, ListAssignment.from_sets(grown, universe=7), p)
+        assert is_valid_assignment(g, ListAssignment.from_sets(grown), p)
 
 
 def test_intersection_regime_removal_preserves_validity():
@@ -95,7 +98,7 @@ def test_intersection_regime_removal_preserves_validity():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
         g = Graph(n, edges)
         sets = [set(rng.sample(range(8), rng.randint(2, 4))) for _ in range(n)]
-        L = ListAssignment.from_sets(sets, universe=8)
+        L = ListAssignment.from_sets(sets)
         if not is_valid_assignment(g, L, p):
             continue
         big = [v for v in range(n) if len(sets[v]) > p.k]
@@ -104,7 +107,7 @@ def test_intersection_regime_removal_preserves_validity():
         v = rng.choice(big)
         shrunk = [set(s) for s in sets]
         shrunk[v].discard(rng.choice(sorted(shrunk[v])))
-        assert is_valid_assignment(g, ListAssignment.from_sets(shrunk, universe=8), p)
+        assert is_valid_assignment(g, ListAssignment.from_sets(shrunk), p)
 
 
 def test_proper_coloring_checks():
@@ -122,7 +125,7 @@ def test_proper_coloring_checks():
 
 
 def test_drop_vertex_matches_graph_relabeling():
-    L = ListAssignment.from_sets([{0}, {1}, {2}], universe=3)
+    L = ListAssignment.from_sets([{0}, {1}, {2}])
     dropped = L.drop_vertex(1)
     assert dropped.colors(0) == (0,)
     assert dropped.colors(1) == (2,)

@@ -40,7 +40,7 @@ def oracle_box_witness(g: Graph, p: SeparationParams, extra_colors=2, extra_size
     for size in range(p.k, p.k + extra_size + 1):
         pool += list(itertools.combinations(range(universe), size))
     for combo in itertools.product(pool, repeat=g.n):
-        lists = ListAssignment.from_sets(combo, universe=universe)
+        lists = ListAssignment.from_sets(combo)
         if not is_valid_assignment(g, lists, p):
             continue
         if solve(g, lists).verdict == UNSAT:
@@ -315,13 +315,13 @@ def seeded_cases(count: int, seed: int):
 
 
 def enumeration_record(enumerate_on, h: Graph, p: SeparationParams, max_nodes: int):
-    """Every (masks, universe, nodes charged) the enumeration yields within
+    """Every (masks, used, nodes charged) the enumeration yields within
     max_nodes, then the nodes charged when it ended."""
     meter = Meter(Budget(max_nodes=max_nodes))
     out = []
     try:
-        for masks, universe in enumerate_on(h, p, meter):
-            out.append((masks, universe, meter.nodes))
+        for masks, used in enumerate_on(h, p, meter):
+            out.append((masks, used, meter.nodes))
     except BudgetExceeded:
         pass
     return out, meter.nodes

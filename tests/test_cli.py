@@ -6,6 +6,7 @@ import argparse
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -68,9 +69,17 @@ def test_parse_graph_rejects(tmp_path, content, fragment):
 def test_parse_lists_file(tmp_path):
     path = write(tmp_path, "lists.txt", "0: 1 2\n1: 3\n")
     lists = parse_lists_file(path)
-    assert lists.universe == 4
     assert lists.colors(0) == (1, 2)
-    assert parse_lists_file(path, universe=9).universe == 9
+    # --universe only bounds the colors: one above them all changes nothing,
+    # and a huge one allocates nothing.
+    assert parse_lists_file(path, universe=9) == lists
+    tracemalloc.start()
+    try:
+        assert parse_lists_file(path, universe=10**12) == lists
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -82,8 +91,9 @@ def test_parse_lists_file(tmp_path):
         ("0: 1\n0: 2\n", None, 2, "vertex 0 listed twice"),
         ("0: 1\n1:\n", None, 2, "vertex 1 has an empty list"),
         ("# lists\n0: 1\n1: 2 -3\n2: 1\n", None, 3, "negative color -3"),
-        ("0: 1\n2: 1\n", None, 2, "missing lists for vertices [1]"),
-        ("# lists\n0: 1\n1: 3\n", 2, 2, "uses a color >= universe 2"),
+        ("0: 1\n2: 1\n", None, 2, "vertex 2 out of range for 2 lists"),
+        ("1000000000000: 1\n", None, 1, "vertex 1000000000000 out of range"),
+        ("# lists\n0: 1\n1: 3\n", 2, 3, "uses a color >= universe 2"),
         ("# lists\n0: 1\n1: 3\n", 0, 2, "universe must contain at least one"),
     ],
 )

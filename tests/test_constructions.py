@@ -99,7 +99,7 @@ def test_gadget_single_blocks_and_relaxes():
     # a fifth hub color frees the instance
     relaxed_sets = list(inst.lists.to_sets())
     relaxed_sets[6] = (2, 3, 4, 5, 6)
-    relaxed = ListAssignment.from_sets(relaxed_sets, universe=7)
+    relaxed = ListAssignment.from_sets(relaxed_sets)
     assert solve(inst.graph, relaxed).verdict == SAT
     with pytest.raises(ValueError):
         build_gadget_single(0, 0, (2, 3, 4, 5))

@@ -64,7 +64,7 @@ def test_reducible_edges_invariant_under_relabeling():
 def test_edge_reduction_pass_on_easy_instance():
     g = star_graph(4).with_edge(1, 2)
     lists = ListAssignment.from_sets(
-        [set(range(5 * i, 5 * i + 5)) for i in range(5)], universe=25
+        [set(range(5 * i, 5 * i + 5)) for i in range(5)]
     )
     res = check_edge_reduction(g, 1, 2, lists, SeparationParams(3, 9))
     assert res.verdict == PASS
@@ -93,10 +93,10 @@ def test_edge_reduction_hypothesis_failures():
 
 def test_edge_reduction_guards():
     g = cycle_graph(4)
-    lists = ListAssignment.from_sets([set(range(6))] * 4, universe=6)
+    lists = ListAssignment.from_sets([set(range(6))] * 4)
     with pytest.raises(ValueError):
         check_edge_reduction(g, 0, 2, lists, SeparationParams(3, 6))
-    bad_lists = ListAssignment.from_sets([{0, 1}] * 4, universe=6)
+    bad_lists = ListAssignment.from_sets([{0, 1}] * 4)
     with pytest.raises(ValueError):
         check_edge_reduction(g, 0, 1, bad_lists, SeparationParams(3, 6))
 

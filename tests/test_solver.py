@@ -58,7 +58,7 @@ def random_instance(rng: random.Random, max_n: int = 5):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
     g = Graph(n, edges)
     sets = [set(rng.sample(range(6), rng.randint(1, 3))) for _ in range(n)]
-    return g, ListAssignment.from_sets(sets, universe=6)
+    return g, ListAssignment.from_sets(sets)
 
 
 def recorded_instance(index: int):
@@ -76,7 +76,7 @@ def recorded_instance(index: int):
     universe = rng.randint(3, 5)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     sets = [set(rng.sample(range(universe), rng.randint(2, 3))) for _ in range(n)]
-    return Graph(n, edges), ListAssignment.from_sets(sets, universe=universe)
+    return Graph(n, edges), ListAssignment.from_sets(sets)
 
 
 K2 = Graph(2, [(0, 1)])
@@ -121,7 +121,7 @@ def test_verdict_invariant_under_relabeling():
         sets2 = [None] * g.n
         for v in range(g.n):
             sets2[perm[v]] = lists.colors(v)
-        lists2 = ListAssignment.from_sets(sets2, universe=lists.universe)
+        lists2 = ListAssignment.from_sets(sets2)
         assert solve(g, lists).verdict == solve(g2, lists2).verdict
 
 
@@ -134,7 +134,7 @@ def test_deterministic_node_counts():
 
 def test_precolor_extends_or_rejects():
     g = path_graph(3)
-    lists = ListAssignment.from_sets([{5}, {5, 7}, {5}], universe=8)
+    lists = ListAssignment.from_sets([{5}, {5, 7}, {5}])
     # center forced to the only color shared with both singleton ends
     assert solve_with_precolor(g, lists, {1: 5}).verdict == UNSAT
     assert solve_with_precolor(g, lists, {1: 7}).verdict == SAT
@@ -186,7 +186,7 @@ def test_count_matches_oracle_up_to_n8():
                  if rng.random() < 0.4]
         g = Graph(n, edges)
         sets = [set(rng.sample(range(5), rng.randint(1, 3))) for _ in range(n)]
-        lists = ListAssignment.from_sets(sets, universe=5)
+        lists = ListAssignment.from_sets(sets)
         assert count_colorings(g, lists, 10_000) == oracle_count(g, lists)
         assert (solve(g, lists).verdict == SAT) == oracle_decide(g, lists)
 
@@ -235,7 +235,7 @@ def test_pick_matches_reference_scan(monkeypatch):
                  if rng.random() < p]
         sets = [set(rng.sample(range(universe), rng.randint(1, 3)))
                 for _ in range(n)]
-        lists = ListAssignment.from_sets(sets, universe=universe)
+        lists = ListAssignment.from_sets(sets)
         v = rng.randrange(n)
         fixed = {v: rng.choice(lists.colors(v))} if rng.random() < 0.3 else {}
         cases.append((Graph(n, edges), lists, fixed))
@@ -294,7 +294,7 @@ def test_gadget35_node_count_does_not_depend_on_labelling():
         sets = [None] * n
         for v in range(n):
             sets[perm[v]] = inst.lists.colors(v)
-        lists = ListAssignment.from_sets(sets, universe=inst.lists.universe)
+        lists = ListAssignment.from_sets(sets)
         res = solve(relabeled, lists)
         assert res.verdict == UNSAT
         counts.add(res.nodes_explored)
