@@ -32,7 +32,6 @@ from .graph import (
     induced_subgraph,
     path_graph,
     petersen_graph,
-    star_graph,
 )
 from .reducibility import (
     CRITICAL_FAULT,
@@ -40,13 +39,12 @@ from .reducibility import (
     PASS,
     EdgeReductionResult,
     KernelResult,
-    ReducibleEdgeReport,
     check_edge_reduction,
     find_reducible_edges,
     greedy_kernel,
     run_edge_reduction_suite,
 )
-from .solver import SAT, UNSAT, SolveResult, count_colorings, solve, solve_with_precolor
+from .solver import SAT, UNSAT, SolveResult, solve, solve_with_precolor
 from .sparsity import (
     ChargeReport,
     MadResult,
@@ -60,7 +58,6 @@ from .tuple_audit import (
     AuditReport,
     TupleRecord,
     audit_inequality1,
-    audit_inequality2_consistency,
     enumerate_tuples,
     full_audit,
 )

@@ -64,9 +64,6 @@ class ListAssignment:
     def size(self, v: int) -> int:
         return self._masks[v].bit_count()
 
-    def to_sets(self) -> list[tuple[int, ...]]:
-        return [self.colors(v) for v in range(len(self))]
-
     def drop_vertex(self, v: int) -> ListAssignment:
         """Lists for G - v, matching Graph.delete_vertex's relabeling."""
         if not (0 <= v < len(self)):

@@ -274,9 +274,9 @@ def _cmd_verify_sparse(args, out: _Out) -> int:
 
 def _cmd_find_reducible(args, out: _Out) -> int:
     g = parse_graph_file(args.graph)
-    report = find_reducible_edges(g, _params(args))
-    out.emit("edges", len(report.edges))
-    for e in report.edges:
+    edges = find_reducible_edges(g, _params(args))
+    out.emit("edges", len(edges))
+    for e in edges:
         out.emit(
             f"edge_{e.u}_{e.v}",
             f"degree_sum={e.degree_sum};common={e.common}",

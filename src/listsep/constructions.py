@@ -6,10 +6,7 @@ import itertools
 from dataclasses import dataclass
 
 from .assignments import ListAssignment, SeparationParams
-from .graph import Graph
-
-# build_book materialises every page, so it refuses larger books up front.
-MAX_BOOK_VERTICES = 100_000
+from .graph import MAX_VERTICES, Graph
 
 
 @dataclass(frozen=True)
@@ -17,7 +14,6 @@ class ConstructedInstance:
     graph: Graph
     lists: ListAssignment
     params: SeparationParams
-    labels: tuple[str, ...]
     note: str = ""
 
 
@@ -32,7 +28,8 @@ def build_book(k: int, t: int) -> ConstructedInstance:
     the stated list sizes would drop below k, so the t' = 2k-1 instance is
     built instead and re-tagged (its assignment is also a valid
     (k,t)-assignment); the note records the actual construction parameter.
-    Raises ValueError when n would exceed MAX_BOOK_VERTICES.
+    Raises ValueError when n would exceed MAX_VERTICES, before any page is
+    built.
     """
     if k < 2:
         raise ValueError("book construction needs k >= 2")
@@ -43,9 +40,9 @@ def build_book(k: int, t: int) -> ConstructedInstance:
     pages = 1
     for _ in range(k):    # stops at the cap, so a huge k costs one step
         pages *= block
-        if k + pages > MAX_BOOK_VERTICES:
+        if k + pages > MAX_VERTICES:
             raise ValueError(
-                f"book({k},{t}) has more than {MAX_BOOK_VERTICES} vertices"
+                f"book({k},{t}) has more than {MAX_VERTICES} vertices"
             )
     center_lists = [range(i * block, (i + 1) * block) for i in range(k)]
     transversals = list(itertools.product(*center_lists))
@@ -54,16 +51,9 @@ def build_book(k: int, t: int) -> ConstructedInstance:
     edges = [(c, k + j) for j in range(len(transversals)) for c in range(k)]
     graph = Graph(n, edges)
 
-    sets: list[tuple[int, ...]] = [tuple(r) for r in center_lists]
-    labels = [f"u{i + 1}" for i in range(k)]
-    for tup in transversals:
-        sets.append(tup)
-        labels.append("x(" + ",".join(map(str, tup)) + ")")
-    lists = ListAssignment.from_sets(sets)
+    lists = ListAssignment.from_sets([*center_lists, *transversals])
     note = f"built at t'={t_eff}" if t_eff != t else ""
-    return ConstructedInstance(
-        graph, lists, SeparationParams(k, t), tuple(labels), note
-    )
+    return ConstructedInstance(graph, lists, SeparationParams(k, t), note)
 
 
 # One gadget copy: endpoints 0 (color a) and 1 (color b), ring 2-3-4-5 around
@@ -102,7 +92,6 @@ def build_gadget35() -> ConstructedInstance:
     cs = (6, 7, 8, 9)
 
     sets: list[tuple[int, ...]] = [a_colors, b_colors]
-    labels: list[str] = ["vA", "vB"]
     edges: list[tuple[int, int]] = []
     for a, b in itertools.product(a_colors, b_colors):
         base = len(sets)
@@ -113,12 +102,9 @@ def build_gadget35() -> ConstructedInstance:
             edges.append((local[u], local[v]))
         for off, colors in enumerate(_gadget_lists(a, b, cs)):
             sets.append(colors)
-            labels.append(f"v{2 + off}[a={a},b={b}]")
     graph = Graph(len(sets), edges)
     lists = ListAssignment.from_sets(sets)
-    return ConstructedInstance(
-        graph, lists, SeparationParams(3, 5), tuple(labels)
-    )
+    return ConstructedInstance(graph, lists, SeparationParams(3, 5))
 
 
 def build_gadget_single(
@@ -130,7 +116,6 @@ def build_gadget_single(
     if len(set(colors)) != 6 or min(colors) < 0:
         raise ValueError("gadget needs six distinct nonnegative colors")
     sets = [(a,), (b,), *_gadget_lists(a, b, cs)]
-    labels = ("vA", "vB", "v2", "v3", "v4", "v5", "v6")
     graph = Graph(7, list(_GADGET_EDGES))
     lists = ListAssignment.from_sets(sets)
-    return ConstructedInstance(graph, lists, SeparationParams(3, 5), labels)
+    return ConstructedInstance(graph, lists, SeparationParams(3, 5))

@@ -6,6 +6,10 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable
 
+# The most vertices a graph may have; a graph file or book past it is a
+# usage error, refused before anything is allocated.
+MAX_VERTICES = 100_000
+
 
 class Graph:
     """Simple undirected graph on dense vertex ids 0..n-1.
@@ -14,9 +18,9 @@ class Graph:
     constructor is the one place that checks edges for range, self-loops and
     duplicates.
 
-    Instances are immutable; ``delete_vertex``/``delete_edge``/``with_edge``
-    return new graphs, so callers can hold G, G-u, G-v and G-uv side by side.
-    Vertex deletion relabels survivors by the stable map w -> w for w < v,
+    Instances are immutable; ``delete_vertex``/``delete_edge`` return new
+    graphs, so callers can hold G, G-u, G-v and G-uv side by side.
+    Vertex deletion renumbers survivors by the stable map w -> w for w < v,
     w -> w-1 for w > v.
     """
 
@@ -25,6 +29,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        if n > MAX_VERTICES:
+            raise ValueError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
         adj: list[set[int]] = [set() for _ in range(n)]
         m = 0
         for u, v in edges:
@@ -86,13 +92,6 @@ class Graph:
             raise ValueError(f"edge ({u},{v}) not present")
         key = (min(u, v), max(u, v))
         return Graph(self.n, [e for e in self.edges() if e != key])
-
-    def with_edge(self, u: int, v: int) -> Graph:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v or self.has_edge(u, v):
-            raise ValueError(f"cannot add edge ({u},{v})")
-        return Graph(self.n, self.edges() + [(min(u, v), max(u, v))])
 
     def average_degree(self) -> Fraction:
         """2m/n as an exact rational."""
@@ -165,11 +164,6 @@ def cycle_graph(n: int) -> Graph:
 
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def star_graph(leaves: int) -> Graph:
-    """Center 0 joined to `leaves` leaf vertices."""
-    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:

@@ -30,12 +30,6 @@ class ReducibleEdge:
     degree_sum: int
 
 
-@dataclass(frozen=True)
-class ReducibleEdgeReport:
-    params: SeparationParams
-    edges: tuple[ReducibleEdge, ...]
-
-
 def _require_union_regime(p: SeparationParams) -> None:
     if p.k < 3:
         raise ValueError("reducibility checks require k >= 3")
@@ -43,7 +37,9 @@ def _require_union_regime(p: SeparationParams) -> None:
         raise ValueError("reducibility checks require the union regime (t >= k)")
 
 
-def find_reducible_edges(g: Graph, p: SeparationParams) -> ReducibleEdgeReport:
+def find_reducible_edges(
+    g: Graph, p: SeparationParams
+) -> tuple[ReducibleEdge, ...]:
     """All edges uv with d(u) + d(v) <= t + min(|N(u) & N(v)|, 2)."""
     _require_union_regime(p)
     nbr_sets = [set(g.neighbors(v)) for v in range(g.n)]
@@ -53,7 +49,7 @@ def find_reducible_edges(g: Graph, p: SeparationParams) -> ReducibleEdgeReport:
         dsum = g.degree(u) + g.degree(v)
         if dsum <= p.t + min(a, 2):
             found.append(ReducibleEdge(u, v, min(a, 2), a, dsum))
-    return ReducibleEdgeReport(p, tuple(found))
+    return tuple(found)
 
 
 @dataclass(frozen=True)

@@ -47,10 +47,6 @@ UNSAT = "UNSAT"
 INF = float("inf")
 
 
-def _unlimited() -> Meter:
-    return Meter(Budget(max_nodes=sys.maxsize))
-
-
 @dataclass(frozen=True)
 class SolveResult:
     verdict: str                 # SAT, UNSAT or RESOURCE_LIMIT
@@ -64,7 +60,7 @@ class _Search:
 
     The trail holds (w, 0) for a coloring of w and (w, bit) for a color
     removed from w's candidates; a frame is [vertex, untried colors, trail
-    length before its decision, colorings counted before it].
+    length before its decision].
 
     key[v] is INF once v is colored and |cand[v]| / deg[v] before, where
     deg[v] is v's degree (1 if isolated) or INF for a vertex whose list is a
@@ -195,21 +191,20 @@ class _Search:
             color[u] = -1
         return best
 
-    def run(self, cap: int) -> int:
-        """Count colorings up to `cap`. When the cap is reached the last
-        coloring found is left in `color`."""
+    def run(self) -> bool:
+        """True once every vertex is colored, with the coloring left in
+        `color`; False when no coloring exists."""
         pick = self.pick
         assign = self.assign
         cand = self.cand
         trail = self.trail
         v = pick()
         if v < 0:
-            return 1
-        found = 0
-        frames = [[v, cand[v], 0, 0]]
+            return True
+        frames = [[v, cand[v], 0]]
         while frames:
             frame = frames[-1]
-            v, untried, mark, before = frame
+            v, untried, mark = frame
             if len(trail) > mark:
                 self.unwind(mark)
             if untried:
@@ -218,19 +213,15 @@ class _Search:
                 if assign(v, bit, len(frames)):
                     w = pick()
                     if w < 0:
-                        found += 1
-                        if found >= cap:
-                            return found
-                    else:
-                        frames.append([w, cand[w], len(trail), found])
+                        return True
+                    frames.append([w, cand[w], len(trail)])
                 continue
             frames.pop()
-            # A subtree that counted colorings backtracks chronologically;
-            # an empty one may skip every decision that left v's component
-            # and its boundary unchanged.
-            if found == before and frames:
+            # Skip every decision that left v's component and its boundary
+            # unchanged.
+            if frames:
                 del frames[self.jump_target(v, len(frames)):]
-        return found
+        return False
 
 
 def solve_with_precolor(
@@ -246,11 +237,11 @@ def solve_with_precolor(
     a fixed color is not in the vertex's list.
     """
     if meter is None:
-        meter = _unlimited()
+        meter = Meter(Budget(max_nodes=sys.maxsize))
     start = meter.nodes
     st = _Search(g, lists, fixed, meter)
     try:
-        verdict = SAT if st.run(1) else UNSAT
+        verdict = SAT if st.run() else UNSAT
     except BudgetExceeded:
         verdict = RESOURCE_LIMIT
     witness: Coloring | None = (
@@ -264,10 +255,3 @@ def solve(
 ) -> SolveResult:
     """Decide existence of a proper list coloring; SAT comes with a witness."""
     return solve_with_precolor(g, lists, {}, meter)
-
-
-def count_colorings(g: Graph, lists: ListAssignment, cap: int) -> int:
-    """Exact number of proper list colorings, saturating at `cap`."""
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    return _Search(g, lists, {}, _unlimited()).run(cap)

@@ -17,7 +17,9 @@ and confirms that each tuple then *fails*
 
 i.e. the left side is <= d(v) - 6 at the minimum degree (and hence at every
 larger degree, since the right side only grows). The audit is run in the
-failure direction because that is what rules every tuple out.
+failure direction because that is what rules every tuple out. Each row is
+also re-checked with integers only, every coefficient scaled by 10, and it
+fails (1) only when both paths say so.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ VIOLATES = "VIOLATES"
 
 # Coefficients of (1) on (d3, d3*, d4, d5); overridable for mutation tests.
 INEQ1_COEFFS = (Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(1, 5))
-INEQ2_COEFFS = (Fraction(2), Fraction(3, 2), Fraction(2), Fraction(2))
 INEQ3_COEFFS = (Fraction(1), Fraction(1), Fraction(3, 2), Fraction(9, 5))
 
 
@@ -109,21 +110,6 @@ def fails_ineq1_scaled(rec: TupleRecord) -> bool:
     return lhs <= 10 * (rec.min_degree - 6)
 
 
-def audit_inequality2_consistency(rec: TupleRecord, dv: int) -> bool:
-    """True iff (2): 2 d3 + (3/2) d3* + 2 d4 + 2 d5 <= d(v).
-
-    Also re-derives (3) for the record's values: subtracting (1)'s left side
-    from (2)'s must give (3)'s left side exactly; a mismatch means the
-    coefficient tables drifted.
-    """
-    lhs1 = _dot(INEQ1_COEFFS, rec.counts)
-    lhs2 = _dot(INEQ2_COEFFS, rec.counts)
-    lhs3 = _dot(INEQ3_COEFFS, rec.counts)
-    if lhs2 - lhs1 != lhs3:
-        raise AssertionError("inequality tables are inconsistent")
-    return lhs2 <= dv
-
-
 @dataclass(frozen=True)
 class AuditRow:
     record: TupleRecord
@@ -151,8 +137,15 @@ class AuditReport:
 
 
 def full_audit(coeffs: tuple[Fraction, ...] = INEQ1_COEFFS) -> AuditReport:
-    """Enumerate the tuple table and audit every record against (1)."""
-    rows = tuple(
-        AuditRow(rec, audit_inequality1(rec, coeffs)) for rec in enumerate_tuples()
-    )
-    return AuditReport(rows)
+    """Enumerate the tuple table and audit every record against (1).
+
+    A row is FAILS_INEQ1 only when the rational audit with `coeffs` and the
+    integer-only checks of (3) and of the failure of (1) all agree.
+    """
+    rows = []
+    for rec in enumerate_tuples():
+        verdict = audit_inequality1(rec, coeffs)
+        if not (satisfies_ineq3_scaled(*rec.counts) and fails_ineq1_scaled(rec)):
+            verdict = VIOLATES
+        rows.append(AuditRow(rec, verdict))
+    return AuditReport(tuple(rows))

@@ -13,6 +13,7 @@ import pytest
 
 import listsep.choosability
 import listsep.cli
+import listsep.tuple_audit
 from listsep.assignments import ListAssignment
 from listsep.cli import (
     EXIT_INTERNAL,
@@ -53,6 +54,8 @@ def test_parse_graph_file(tmp_path):
         ("2 2\n0 1\n", "announces"),
         ("nonsense\n", "expected"),
         ("\u00b2 0\n", "expected"),
+        # past the vertex cap: refused before any vertex is allocated
+        ("1000000000000 0\n", "exceed the limit"),
     ],
 )
 def test_parse_graph_rejects(tmp_path, content, fragment):
@@ -61,7 +64,7 @@ def test_parse_graph_rejects(tmp_path, content, fragment):
         parse_graph_file(path)
     assert fragment in str(err.value)
     line = {"self-loop": 2, "duplicate": 3, "out of range": 2,
-            "announces": 1, "expected": 1}[fragment]
+            "announces": 1, "expected": 1, "exceed the limit": 1}[fragment]
     assert str(err.value).startswith(f"{path}:{line}: ")
     assert main(["mad", path]) == EXIT_USAGE
 
@@ -276,6 +279,18 @@ def test_audit_tuples_cli(capsys):
     out = capsys.readouterr().out
     assert out.count("fails (1)") == 77
     assert "PASS" in out
+
+
+def test_audit_tuples_runs_the_integer_cross_check(capsys, monkeypatch):
+    # The scaled path disagreeing on a single row fails the whole audit.
+    scaled = listsep.tuple_audit.fails_ineq1_scaled
+    monkeypatch.setattr(listsep.tuple_audit, "fails_ineq1_scaled",
+                        lambda rec: rec.counts != (0, 0, 0, 3) and scaled(rec))
+    assert main(["audit-tuples"]) == EXIT_NEGATIVE
+    out = capsys.readouterr().out
+    assert out.count("fails (1)") == 76
+    assert "(0,0,0,3) VIOLATES" in out
+    assert "overall: FAIL" in out
 
 
 def test_machine_output_is_stable(capsys, tmp_path):

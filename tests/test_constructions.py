@@ -1,4 +1,4 @@
-"""Constructed families: counts, validity, labels, unsolvability."""
+"""Constructed families: counts, validity, unsolvability."""
 
 from __future__ import annotations
 
@@ -21,8 +21,7 @@ def test_book_2_3_is_k24():
     assert sorted(inst.lists.colors(v) for v in range(2, 6)) == [
         (0, 2), (0, 3), (1, 2), (1, 3)
     ]
-    assert inst.labels[:2] == ("u1", "u2")
-    assert inst.labels[2] == "x(0,2)"
+    assert inst.lists.colors(2) == (0, 2)    # pages in transversal order
     assert is_valid_assignment(inst.graph, inst.lists, inst.params)
 
 
@@ -86,8 +85,9 @@ def test_gadget35_shape():
     assert inst.graph.m == 126
     assert inst.params == SeparationParams(3, 5)
     assert is_valid_assignment(inst.graph, inst.lists, inst.params)
-    assert inst.labels[0] == "vA" and inst.labels[1] == "vB"
-    assert inst.labels[2] == "v2[a=0,b=3]"
+    assert inst.lists.colors(0) == (0, 1, 2)      # endpoint lists A and B
+    assert inst.lists.colors(1) == (3, 4, 5)
+    assert inst.lists.colors(2) == (0, 3, 6, 9)   # ring vertex 2, a=0, b=3
     # each copy respects the planar edge bound: 14 <= 3*7 - 6
     assert 14 <= 3 * 7 - 6
 
@@ -97,7 +97,7 @@ def test_gadget_single_blocks_and_relaxes():
     assert inst.graph.n == 7 and inst.graph.m == 14
     assert solve(inst.graph, inst.lists).verdict == UNSAT
     # a fifth hub color frees the instance
-    relaxed_sets = list(inst.lists.to_sets())
+    relaxed_sets = [inst.lists.colors(v) for v in range(len(inst.lists))]
     relaxed_sets[6] = (2, 3, 4, 5, 6)
     relaxed = ListAssignment.from_sets(relaxed_sets)
     assert solve(inst.graph, relaxed).verdict == SAT

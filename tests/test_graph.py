@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from listsep.graph import (
+    MAX_VERTICES,
     Graph,
     complete_bipartite_graph,
     complete_graph,
@@ -15,7 +16,6 @@ from listsep.graph import (
     induced_subgraph,
     path_graph,
     petersen_graph,
-    star_graph,
 )
 
 
@@ -33,6 +33,9 @@ def test_construction_rejects_bad_edges():
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph(-1)
+    assert Graph(MAX_VERTICES).n == MAX_VERTICES
+    with pytest.raises(ValueError, match="exceed the limit of 100000"):
+        Graph(MAX_VERTICES + 1)
 
 
 def test_degree_examples():
@@ -89,7 +92,7 @@ def test_delete_vertex_relabels_stably():
     p3 = path_graph(3)
     g = p3.delete_vertex(1)
     assert g.n == 2 and g.m == 0
-    star = star_graph(4)
+    star = Graph(5, [(0, i) for i in range(1, 5)])
     g = star.delete_vertex(0)
     assert g.n == 4 and g.m == 0
 
@@ -98,7 +101,7 @@ def test_delete_edge_and_readd_roundtrip():
     k3 = complete_graph(3)
     p3 = k3.delete_edge(0, 2)
     assert p3.m == 2 and p3.degree(1) == 2
-    assert p3.with_edge(0, 2) == k3
+    assert Graph(3, p3.edges() + [(0, 2)]) == k3
     with pytest.raises(ValueError):
         p3.delete_edge(0, 2)
 

@@ -15,7 +15,6 @@ from listsep.graph import (
     cycle_graph,
     icosahedron_graph,
     path_graph,
-    star_graph,
 )
 from listsep.reducibility import (
     CRITICAL_FAULT,
@@ -29,17 +28,17 @@ from listsep.reducibility import (
 
 
 def test_find_reducible_edges_regular_graphs():
-    report = find_reducible_edges(cycle_graph(5), SeparationParams(3, 4))
-    assert len(report.edges) == 5
-    assert all(e.degree_sum == 4 and e.common_capped == 0 for e in report.edges)
+    edges = find_reducible_edges(cycle_graph(5), SeparationParams(3, 4))
+    assert len(edges) == 5
+    assert all(e.degree_sum == 4 and e.common_capped == 0 for e in edges)
 
-    report = find_reducible_edges(complete_graph(4), SeparationParams(3, 4))
-    assert len(report.edges) == 6
-    assert all(e.degree_sum == 6 and e.common_capped == 2 for e in report.edges)
+    edges = find_reducible_edges(complete_graph(4), SeparationParams(3, 4))
+    assert len(edges) == 6
+    assert all(e.degree_sum == 6 and e.common_capped == 2 for e in edges)
 
-    report = find_reducible_edges(icosahedron_graph(), SeparationParams(3, 11))
-    assert len(report.edges) == 30
-    assert all(e.degree_sum == 10 and e.common == 2 for e in report.edges)
+    edges = find_reducible_edges(icosahedron_graph(), SeparationParams(3, 11))
+    assert len(edges) == 30
+    assert all(e.degree_sum == 10 and e.common == 2 for e in edges)
 
 
 def test_find_reducible_edges_guards():
@@ -50,19 +49,19 @@ def test_find_reducible_edges_guards():
 
 
 def test_reducible_edges_invariant_under_relabeling():
-    g = star_graph(3).with_edge(1, 2)
+    g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])   # star K1,3 plus edge 12
     p = SeparationParams(3, 9)
-    base = {(e.u, e.v) for e in find_reducible_edges(g, p).edges}
+    base = {(e.u, e.v) for e in find_reducible_edges(g, p)}
     perm = [3, 1, 0, 2]
     g2 = Graph(4, [(perm[u], perm[v]) for u, v in g.edges()])
     mapped = {
         (min(perm[u], perm[v]), max(perm[u], perm[v])) for (u, v) in base
     }
-    assert {(e.u, e.v) for e in find_reducible_edges(g2, p).edges} == mapped
+    assert {(e.u, e.v) for e in find_reducible_edges(g2, p)} == mapped
 
 
 def test_edge_reduction_pass_on_easy_instance():
-    g = star_graph(4).with_edge(1, 2)
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])   # K1,4 plus 12
     lists = ListAssignment.from_sets(
         [set(range(5 * i, 5 * i + 5)) for i in range(5)]
     )
@@ -78,7 +77,7 @@ def test_edge_reduction_hypothesis_failures():
     pages = {tuple(inst.lists.colors(v)): v for v in range(3, inst.graph.n)}
     u = pages[(0, 3, 6)]
     v = pages[(1, 4, 7)]
-    g = inst.graph.with_edge(u, v)
+    g = Graph(inst.graph.n, inst.graph.edges() + [(u, v)])
     res = check_edge_reduction(g, u, v, inst.lists, inst.params)
     assert res.verdict == HYPOTHESIS_NOT_MET
     assert not res.subinstance_sat[2]
@@ -165,7 +164,8 @@ def test_kernel_order_matches_rescan_reference():
 
 def test_empty_kernel_certifies_choosable():
     p = SeparationParams(3, 5)
-    for g in (path_graph(4), star_graph(5), cycle_graph(6)):
+    star = Graph(6, [(0, i) for i in range(1, 6)])
+    for g in (path_graph(4), star, cycle_graph(6)):
         assert greedy_kernel(g, p.k).empty
         assert decide_choosable(g, p).verdict == CHOOSABLE
 

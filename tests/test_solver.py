@@ -1,5 +1,5 @@
 """Backtracking solver: soundness, completeness against a product-space
-oracle, determinism, precoloring, and counting."""
+oracle, determinism and precoloring."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from listsep.constructions import build_book, build_gadget35
 from listsep.graph import (
     Graph,
     complete_graph,
-    cycle_graph,
     icosahedron_graph,
     path_graph,
 )
@@ -25,7 +24,6 @@ from listsep.solver import (
     SAT,
     UNSAT,
     _Search,
-    count_colorings,
     solve,
     solve_with_precolor,
 )
@@ -41,16 +39,6 @@ def oracle_decide(g: Graph, lists: ListAssignment) -> bool:
         if all(combo[u] != combo[v] for u, v in edges):
             return True
     return False
-
-
-def oracle_count(g: Graph, lists: ListAssignment) -> int:
-    choices = [lists.colors(v) for v in range(g.n)]
-    edges = g.edges()
-    return sum(
-        1
-        for combo in itertools.product(*choices)
-        if all(combo[u] != combo[v] for u, v in edges)
-    )
 
 
 def random_instance(rng: random.Random, max_n: int = 5):
@@ -159,23 +147,17 @@ def test_gadget_blocks_its_own_color_pair():
     assert solve_with_precolor(inst.graph, inst.lists, {0: 0, 1: 3}).verdict == UNSAT
 
 
-def test_count_colorings():
-    single = Graph(1)
-    assert count_colorings(single, ListAssignment.from_sets([{1, 2, 3}]), 100) == 3
-    assert count_colorings(K2, ListAssignment.from_sets([{1, 2}, {1, 2}]), 100) == 2
-    c4 = cycle_graph(4)
-    L = ListAssignment.from_sets([{1, 2}] * 4)
-    assert count_colorings(c4, L, 100) == 2
-    assert count_colorings(c4, L, 1) == 1
-    with pytest.raises(ValueError):
-        count_colorings(c4, L, 0)
+def assert_matches_oracle(g: Graph, lists: ListAssignment, res) -> None:
+    assert (res.verdict == SAT) == oracle_decide(g, lists)
+    if res.verdict == SAT:
+        assert is_proper_coloring(g, lists, res.witness)
 
 
 def test_count_matches_oracle():
     rng = random.Random(31)
     for _ in range(150):
         g, lists = random_instance(rng, max_n=4)
-        assert count_colorings(g, lists, 10_000) == oracle_count(g, lists)
+        assert_matches_oracle(g, lists, solve(g, lists))
 
 
 def test_count_matches_oracle_up_to_n8():
@@ -187,8 +169,7 @@ def test_count_matches_oracle_up_to_n8():
         g = Graph(n, edges)
         sets = [set(rng.sample(range(5), rng.randint(1, 3))) for _ in range(n)]
         lists = ListAssignment.from_sets(sets)
-        assert count_colorings(g, lists, 10_000) == oracle_count(g, lists)
-        assert (solve(g, lists).verdict == SAT) == oracle_decide(g, lists)
+        assert_matches_oracle(g, lists, solve(g, lists))
 
 
 def test_recorded_verdicts_and_proper_witnesses_in_fewer_nodes():
@@ -241,19 +222,19 @@ def test_pick_matches_reference_scan(monkeypatch):
         cases.append((Graph(n, edges), lists, fixed))
 
     def run_all():
-        out = []
-        for g, lists, fixed in cases:
-            res = solve_with_precolor(g, lists, fixed)
-            count = count_colorings(g, lists, 10_000) if g.n <= 8 else None
-            out.append((res, count))
-        return out
+        return [solve_with_precolor(g, lists, fixed) for g, lists, fixed in cases]
 
     mine = run_all()
     monkeypatch.setattr(_Search, "pick", reference_pick)
     assert run_all() == mine
-    for (g, lists, _), (_, count) in zip(cases, mine):
-        if count is not None:
-            assert count == oracle_count(g, lists)
+    for (g, lists, fixed), res in zip(cases, mine):
+        pinned = ListAssignment.from_sets(
+            [(fixed[v],) if v in fixed else lists.colors(v) for v in range(g.n)]
+        )
+        if res.verdict == SAT:
+            assert is_proper_coloring(g, pinned, res.witness)
+        if g.n <= 8:
+            assert (res.verdict == SAT) == oracle_decide(g, pinned)
 
 
 def test_book37_is_refuted_without_a_budget():
@@ -308,7 +289,6 @@ def test_long_path_needs_no_recursion():
     res = solve(g, lists)
     assert res.verdict == SAT
     assert is_proper_coloring(g, lists, res.witness)
-    assert count_colorings(g, lists, 10) == 10
 
 
 def test_solve_budget_cuts_off_and_is_charged_exactly():

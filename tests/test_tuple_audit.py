@@ -10,10 +10,10 @@ import pytest
 from listsep.tuple_audit import (
     FAILS_INEQ1,
     INEQ1_COEFFS,
+    INEQ3_COEFFS,
     VIOLATES,
     TupleRecord,
     audit_inequality1,
-    audit_inequality2_consistency,
     enumerate_tuples,
     fails_ineq1_scaled,
     full_audit,
@@ -86,9 +86,13 @@ def test_audit_rejects_tuples_outside_the_table():
 
 
 def test_inequality_2_consistency():
-    assert audit_inequality2_consistency(TupleRecord(0, 0, 0, 0, 6), 6)
-    assert audit_inequality2_consistency(TupleRecord(5, 0, 0, 0, 11), 11)
-    assert not audit_inequality2_consistency(TupleRecord(0, 5, 0, 0, 10), 7)
+    # Coefficients on (d3, d3*, d4, d5) as the paper states (1), (2) and (3):
+    # (3) is (2) minus (1), and the audit's tables are (1) and (3).
+    ineq1 = (1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 5))
+    ineq2 = (2, Fraction(3, 2), 2, 2)
+    ineq3 = (1, 1, Fraction(3, 2), Fraction(9, 5))
+    assert tuple(b - a for a, b in zip(ineq1, ineq2)) == ineq3
+    assert (INEQ1_COEFFS, INEQ3_COEFFS) == (ineq1, ineq3)
 
 
 def test_failure_monotone_in_degree():
