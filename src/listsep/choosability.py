@@ -32,7 +32,7 @@ from .assignments import (
 from .budget import RESOURCE_LIMIT, Budget, BudgetExceeded, Meter
 from .graph import Graph, induced_subgraph
 from .reducibility import greedy_kernel
-from .solver import UNSAT, solve
+from .solver import UNSAT, _Search, solve
 
 CHOOSABLE = "CHOOSABLE"
 NOT_CHOOSABLE = "NOT_CHOOSABLE"
@@ -58,6 +58,48 @@ def _candidate_masks(used: int, size: int) -> list[int]:
     return [sum(1 << c for c in s) for s in sorted(sets)]
 
 
+def _candidate_table(used: int, size: int) -> tuple[list[int], list[int]]:
+    """`_candidate_masks(used, size)` with one membership bitset per color:
+    bit j of has[x] is set iff the j-th candidate holds color x."""
+    cands = _candidate_masks(used, size)
+    has = [0] * (used + size)
+    for j, m in enumerate(cands):
+        bit = 1 << j
+        while m:
+            low = m & -m
+            has[low.bit_length() - 1] |= bit
+            m ^= low
+    return cands, has
+
+
+def _at_most(has: list[int], count: int, f: int, c: int) -> int:
+    """Bitset over `count` candidates, described by their membership
+    bitsets `has` (see `_candidate_table`), of those m with |m & f| <= c.
+
+    Bit-sliced counting: within[j] is the set of candidates that hold at
+    most j of the colors of f seen so far, updated for each color x with
+    the candidates that hold x. It takes O(|f| * c) operations on
+    `count`-bit integers, none per candidate.
+    """
+    if c < 0:
+        return 0
+    within = [(1 << count) - 1] * (c + 1)
+    seen = 0
+    while f:
+        low = f & -f
+        f ^= low
+        x = low.bit_length() - 1
+        if x >= len(has):
+            break    # no candidate holds x or any color above it
+        hx = has[x]
+        # within[j] with j >= seen is still every candidate.
+        for j in range(min(c, seen), 0, -1):
+            within[j] = within[j] & ~hx | within[j - 1] & hx
+        within[0] &= ~hx
+        seen += 1
+    return within[c]
+
+
 def _removable_colors(m: int, lists: list[int], t: int) -> int:
     """The colors of m that can be dropped while m still reaches t in union
     with each of `lists` (it must reach t with each): those in every list
@@ -79,13 +121,14 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
     smaller subgraph or assignment that is enumerated separately.
 
     `candidates` is a memo for the whole decision that h belongs to. Under
-    (used, size) it holds the `_candidate_masks` list; under
-    (used, size, f, c) the bitset over that list's indices of the masks m
-    with |m & f| <= c. Every candidate tried is one node, but a level tests
-    its candidates in bulk: on entry it ANDs the memoised bitsets into the
-    set of those that pass, the walk jumps from one of them to the next and
-    charges the meter for the candidates it skipped, and only i's own
-    removable-color test runs per candidate.
+    (used, size) it holds the `_candidate_table`: the `_candidate_masks`
+    list and its per-color membership bitsets; under (used, size, f, c) the
+    bitset over that list's indices of the masks m with |m & f| <= c, which
+    `_at_most` computes from the membership bitsets. Every candidate tried
+    is one node, but a level tests its candidates in bulk: on entry it ANDs
+    the memoised bitsets into the set of those that pass, the walk jumps
+    from one of them to the next and charges the meter for the candidates
+    it skipped, and only i's own removable-color test runs per candidate.
     """
     n = h.n
     k, t = p.k, p.t
@@ -120,9 +163,10 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
         with `lists` set, a removable color.
         """
         key = (used, size)
-        cands = candidates.get(key)
-        if cands is None:
-            cands = candidates[key] = _candidate_masks(used, size)
+        table = candidates.get(key)
+        if table is None:
+            table = candidates[key] = _candidate_table(used, size)
+        cands, has = table
 
         def at_most(f: int, c: int) -> int:
             """Bitset of the m in cands with |m & f| <= c."""
@@ -133,9 +177,7 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
             memo = (used, size, f, c)
             bits = candidates.get(memo)
             if bits is None:
-                bits = candidates[memo] = int("".join(
-                    "1" if (m & f).bit_count() <= c else "0"
-                    for m in reversed(cands)), 2)
+                bits = candidates[memo] = _at_most(has, len(cands), f, c)
             return bits
 
         alive = (1 << len(cands)) - 1
@@ -240,20 +282,20 @@ def decide_choosable(
     meter = Meter(limits)
     core_ids = greedy_kernel(g, p.k).kernel_vertices
     tested = 0
-    candidates: dict[tuple[int, ...], list[int] | int] = {}
+    candidates: dict[tuple[int, ...], tuple[list[int], list[int]] | int] = {}
     try:
         for size in range(len(core_ids), 0, -1):
             for subset in itertools.combinations(core_ids, size):
                 h, kept = induced_subgraph(g, subset)
                 if min(h.degree(v) for v in range(h.n)) < p.k:
                     continue
+                # One search per subgraph, loaded with each tight assignment;
+                # it charges the decision's meter like a solve would.
+                search = _Search(h, meter)
                 for masks, used in _tight_assignments(h, p, meter, candidates):
-                    lists = ListAssignment(masks)
                     tested += 1
-                    res = solve(h, lists, meter)
-                    if res.verdict == RESOURCE_LIMIT:
-                        raise BudgetExceeded
-                    if res.verdict == UNSAT:
+                    search.load(masks)
+                    if not search.run():
                         witness = _pad_witness(g, kept, masks, used, p)
                         return ChoosabilityVerdict(
                             NOT_CHOOSABLE, witness, tested, meter.nodes

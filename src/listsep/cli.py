@@ -5,9 +5,10 @@ FAIL), 2 usage or parse error, 3 resource limit, 4 internal error.
 
 Graph files: first non-comment line "n m", then m lines "u v" with 0-based
 ids; blank lines and lines starting with "#" are ignored. List files: one
-line per vertex, "v: c1 c2 c3 ...", with colors nonnegative integers;
---universe C only requires every color to be below C, and nothing about it
-is inferred or stored.
+line per vertex, "v: c1 c2 c3 ...", with colors nonnegative integers, renamed
+by rank when read and printed under their own names; --universe C only
+requires every color to be below C, and nothing about it is inferred or
+stored.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import traceback
 from fractions import Fraction
 
-from .assignments import ListAssignment, SeparationParams, is_valid_assignment, mask_of
+from .assignments import ListAssignment, SeparationParams, is_valid_assignment
 from .budget import RESOURCE_LIMIT, Budget, Meter
 from .choosability import (
     CHOOSABLE,
@@ -71,7 +72,11 @@ def parse_graph_file(path: str) -> Graph:
     parts = header.split()
     if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise ParseError(path, line_no, f"expected 'n m', got {header!r}")
-    n, m = int(parts[0]), int(parts[1])
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        # int() refuses strings past sys.get_int_max_str_digits() digits.
+        raise ParseError(path, line_no, "header number has too many digits") from None
     if len(lines) - 1 != m:
         raise ParseError(
             path, line_no, f"header announces {m} edges, file has {len(lines) - 1}"
@@ -97,29 +102,40 @@ def parse_graph_file(path: str) -> Graph:
         raise ParseError(path, line_no, str(exc)) from None
 
 
-def parse_lists_file(path: str, universe: int | None = None) -> ListAssignment:
+def parse_lists_file(
+    path: str, universe: int | None = None
+) -> tuple[ListAssignment, tuple[int, ...]]:
+    """The lists of a list file, and the file's name of each color.
+
+    Colors are renamed by rank: the file's distinct colors, in increasing
+    order, become 0, 1, 2, ..., so a mask is as wide as the number of
+    colors, not as the largest one. names[c] is the file's color that
+    became c. The renaming keeps every list size, union and intersection,
+    and the order of the colors, so verdicts, node counts and witnesses
+    (read through `names`) are those of the file's own colors.
+    """
     lines = _content_lines(path)
     if not lines:
         raise ParseError(path, 1, "empty list file")
     if universe is not None and universe < 1:
         raise ParseError(path, lines[0][0], "universe must contain at least one color")
-    # n lists cover the vertices 0..n-1; a mask stays 0 until its line is read.
+    # n lists cover the vertices 0..n-1; a list stays None until its line is read.
     n = len(lines)
-    masks = [0] * n
+    lists: list[list[int] | None] = [None] * n
     for line_no, text in lines:
         head, sep, tail = text.partition(":")
         if not sep:
             raise ParseError(path, line_no, f"expected 'v: colors', got {text!r}")
         try:
             v = int(head.strip())
-            colors = [int(c) for c in tail.split()]
+            colors = list(map(int, tail.split()))
         except ValueError:
             raise ParseError(path, line_no, f"non-integer entry in {text!r}")
         if v < 0:
             raise ParseError(path, line_no, f"negative vertex {v}")
         if v >= n:
             raise ParseError(path, line_no, f"vertex {v} out of range for {n} lists")
-        if masks[v]:
+        if lists[v] is not None:
             raise ParseError(path, line_no, f"vertex {v} listed twice")
         if not colors:
             raise ParseError(path, line_no, f"vertex {v} has an empty list")
@@ -127,11 +143,13 @@ def parse_lists_file(path: str, universe: int | None = None) -> ListAssignment:
             raise ParseError(
                 path, line_no, f"vertex {v} uses a color >= universe {universe}"
             )
-        try:
-            masks[v] = mask_of(colors)
-        except ValueError as exc:
-            raise ParseError(path, line_no, str(exc)) from None
-    return ListAssignment(masks)
+        if min(colors) < 0:
+            raise ParseError(path, line_no, f"negative color {min(colors)}")
+        lists[v] = colors
+    names = sorted(set().union(*lists))
+    bit = {c: 1 << i for i, c in enumerate(names)}
+    masks = [sum(map(bit.__getitem__, set(colors))) for colors in lists]
+    return ListAssignment(masks), tuple(names)
 
 
 def format_graph(g: Graph) -> str:
@@ -179,12 +197,13 @@ def _budget(args) -> Budget:
 def _cmd_solve(args, out: _Out) -> int:
     limits = _budget(args)
     g = parse_graph_file(args.graph)
-    lists = parse_lists_file(args.lists, args.universe)
+    lists, names = parse_lists_file(args.lists, args.universe)
     result = solve(g, lists, Meter(limits))
     out.emit("verdict", result.verdict)
     out.emit("nodes", result.nodes_explored)
     if result.witness is not None:
-        out.emit("witness", _witness_text(result.witness))
+        witness = {v: names[c] for v, c in result.witness.items()}
+        out.emit("witness", _witness_text(witness))
     return _EXIT[result.verdict]
 
 
@@ -205,7 +224,8 @@ def _cmd_check_choosable(args, out: _Out) -> int:
 def _cmd_verify_witness(args, out: _Out) -> int:
     limits = _budget(args)
     g = parse_graph_file(args.graph)
-    lists = parse_lists_file(args.lists, args.universe)
+    # Renaming colors keeps validity and colorability, so names go unused.
+    lists, _ = parse_lists_file(args.lists, args.universe)
     p = _params(args)
     valid = is_valid_assignment(g, lists, p)
     out.emit("assignment_valid", str(valid.ok).lower())

@@ -360,6 +360,58 @@ def test_candidate_masks_match_reference_sets():
             ]
 
 
+def test_at_most_matches_popcount():
+    for used in range(7):
+        for size in range(6):
+            cands, has = choosability._candidate_table(used, size)
+            assert cands == choosability._candidate_masks(used, size)
+            # f also takes the color just past every candidate's.
+            for f in range(1 << used + size + 1):
+                counts = [(m & f).bit_count() for m in cands]
+                for c in range(-1, size + 2):
+                    expected = sum(1 << j for j, n in enumerate(counts) if n <= c)
+                    assert choosability._at_most(has, len(cands), f, c) == expected
+
+
+def test_reused_search_matches_fresh_solves():
+    """One search per subgraph, loaded with each tight assignment in turn,
+    gives each the verdict, node count and witness of a fresh solve."""
+    cases = list(seeded_cases(40, 2026)) + [
+        (complete_graph(5), SeparationParams(3, 5)),
+        (icosahedron_graph(), SeparationParams(3, 5)),
+    ]
+    verdicts, after_sat = set(), 0
+    for h, p in cases:
+        loads = []
+        try:
+            enumeration = Meter(Budget(max_nodes=20_000))
+            for masks, _ in choosability._tight_assignments(h, p, enumeration, {}):
+                loads.append(masks)
+                if len(loads) == 60:
+                    break
+        except BudgetExceeded:
+            pass
+        meter = Meter(Budget(max_nodes=10**9))
+        search = choosability._Search(h, meter)
+        previous = None
+        for masks in loads:
+            start = meter.nodes
+            search.load(masks)
+            sat = search.run()
+            fresh = solve(h, ListAssignment(masks))
+            assert fresh.verdict == ("SAT" if sat else UNSAT)
+            assert meter.nodes - start == fresh.nodes_explored
+            if sat:
+                assert dict(enumerate(search.color)) == fresh.witness
+            # A SAT run leaves every vertex colored and its whole trail.
+            if previous is not None and previous[0] and previous[1] >= h.n:
+                after_sat += 1
+            previous = (sat, len(search.trail))
+            verdicts.add(fresh.verdict)
+    assert verdicts == {"SAT", UNSAT}
+    assert after_sat > 0
+
+
 def test_decisions_match_reference_enumeration(monkeypatch):
     cases = list(seeded_cases(60, 2025)) + [
         (complete_graph(5), SeparationParams(3, 5)),

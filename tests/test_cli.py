@@ -56,6 +56,8 @@ def test_parse_graph_file(tmp_path):
         ("\u00b2 0\n", "expected"),
         # past the vertex cap: refused before any vertex is allocated
         ("1000000000000 0\n", "exceed the limit"),
+        # past the digits int() converts
+        pytest.param("1" * 5000 + " 0\n", "too many digits", id="5000-digit-header"),
     ],
 )
 def test_parse_graph_rejects(tmp_path, content, fragment):
@@ -64,21 +66,24 @@ def test_parse_graph_rejects(tmp_path, content, fragment):
         parse_graph_file(path)
     assert fragment in str(err.value)
     line = {"self-loop": 2, "duplicate": 3, "out of range": 2,
-            "announces": 1, "expected": 1, "exceed the limit": 1}[fragment]
+            "announces": 1, "expected": 1, "exceed the limit": 1,
+            "too many digits": 1}[fragment]
     assert str(err.value).startswith(f"{path}:{line}: ")
     assert main(["mad", path]) == EXIT_USAGE
 
 
 def test_parse_lists_file(tmp_path):
     path = write(tmp_path, "lists.txt", "0: 1 2\n1: 3\n")
-    lists = parse_lists_file(path)
-    assert lists.colors(0) == (1, 2)
+    lists, names = parse_lists_file(path)
+    # Colors are renamed by rank; names maps them back to the file's.
+    assert (lists.colors(0), lists.colors(1)) == ((0, 1), (2,))
+    assert names == (1, 2, 3)
     # --universe only bounds the colors: one above them all changes nothing,
     # and a huge one allocates nothing.
-    assert parse_lists_file(path, universe=9) == lists
+    assert parse_lists_file(path, universe=9) == (lists, names)
     tracemalloc.start()
     try:
-        assert parse_lists_file(path, universe=10**12) == lists
+        assert parse_lists_file(path, universe=10**12) == (lists, names)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -117,7 +122,7 @@ def test_roundtrip_gadget(tmp_path):
     gpath = write(tmp_path, "g.txt", format_graph(inst.graph))
     lpath = write(tmp_path, "l.txt", format_lists(inst.lists))
     assert parse_graph_file(gpath) == inst.graph
-    assert parse_lists_file(lpath) == inst.lists
+    assert parse_lists_file(lpath)[0] == inst.lists
 
 
 def test_solve_exit_codes(tmp_path):
@@ -126,6 +131,25 @@ def test_solve_exit_codes(tmp_path):
     unsat = write(tmp_path, "unsat.txt", "0: 1\n1: 1\n")
     assert main(["solve", g, sat]) == EXIT_OK
     assert main(["solve", g, unsat]) == EXIT_NEGATIVE
+
+
+def test_solve_prints_the_files_colors(tmp_path, capsys):
+    # Colors are searched by rank, so a huge one allocates nothing, and the
+    # witness names each color as the list file does.
+    one = write(tmp_path, "one.txt", "1 0\n")
+    huge = write(tmp_path, "huge.txt", "0: 1000000000000\n")
+    tracemalloc.start()
+    try:
+        assert main(["--format", "machine", "solve", one, huge]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "witness=0:1000000000000" in capsys.readouterr().out.splitlines()
+    g = write(tmp_path, "k2.txt", "2 1\n0 1\n")
+    lists = write(tmp_path, "l.txt", "0: 7 40000000\n1: 7\n")
+    assert main(["--format", "machine", "solve", g, lists]) == EXIT_OK
+    assert "witness=0:40000000,1:7" in capsys.readouterr().out.splitlines()
 
 
 def test_solve_budget_flags(tmp_path, capsys):
@@ -213,7 +237,7 @@ def test_check_choosable_exit_codes(tmp_path):
         )
         == EXIT_NEGATIVE
     )
-    witness = parse_lists_file(str(out))
+    witness, _ = parse_lists_file(str(out))
     assert len(witness) == 5
     assert (
         main(["check-choosable", c5, "--k", "2", "--t", "2", "--max-nodes", "2"])
