@@ -143,12 +143,17 @@ def parse_lists_file(
             raise ParseError(
                 path, line_no, f"vertex {v} uses a color >= universe {universe}"
             )
-        if min(colors) < 0:
+        if "-" in tail and min(colors) < 0:    # only a "-" makes an int negative
             raise ParseError(path, line_no, f"negative color {min(colors)}")
         lists[v] = colors
     names = sorted(set().union(*lists))
     bit = {c: 1 << i for i, c in enumerate(names)}
-    masks = [sum(map(bit.__getitem__, set(colors))) for colors in lists]
+    masks = []
+    for colors in lists:
+        m = 0
+        for c in colors:
+            m |= bit[c]
+        masks.append(m)
     return ListAssignment(masks), tuple(names)
 
 
