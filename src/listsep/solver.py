@@ -69,9 +69,10 @@ class _Search:
 
     key[v] is INF once v is colored and |cand[v]| / deg[v] before, where
     deg[v] is degree[v], v's degree (1 if isolated), or INF for a vertex
-    whose list is a single color from the start, so that its key is 0. Propagation colors
-    every other vertex the moment its candidates shrink to one color, so
-    between decisions no other uncolored vertex is a singleton.
+    whose list is a single color from the start, so that its key is 0.
+    Propagation colors every other vertex the moment its candidates shrink
+    to one color, so between decisions no other uncolored vertex is a
+    singleton.
     """
 
     __slots__ = ("nbrs", "degree", "cand", "color", "deg", "key", "depth",

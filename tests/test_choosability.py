@@ -28,7 +28,7 @@ from listsep.graph import (
     induced_subgraph,
 )
 from listsep.reducibility import greedy_kernel
-from listsep.solver import UNSAT, solve
+from listsep.solver import SAT, UNSAT, solve
 
 
 def oracle_box_witness(g: Graph, p: SeparationParams, extra_colors=2, extra_size=1):
@@ -399,7 +399,7 @@ def test_reused_search_matches_fresh_solves():
             search.load(masks)
             sat = search.run()
             fresh = solve(h, ListAssignment(masks))
-            assert fresh.verdict == ("SAT" if sat else UNSAT)
+            assert fresh.verdict == (SAT if sat else UNSAT)
             assert meter.nodes - start == fresh.nodes_explored
             if sat:
                 assert dict(enumerate(search.color)) == fresh.witness
@@ -408,7 +408,7 @@ def test_reused_search_matches_fresh_solves():
                 after_sat += 1
             previous = (sat, len(search.trail))
             verdicts.add(fresh.verdict)
-    assert verdicts == {"SAT", UNSAT}
+    assert verdicts == {SAT, UNSAT}
     assert after_sat > 0
 
 
