@@ -53,6 +53,35 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line_no}: {reason}")
 
 
+# An error message quotes at most this many characters of the input line.
+_ECHO_MAX = 40
+
+
+def _echo(text: str) -> str:
+    """text quoted for an error message, cut to a short prefix."""
+    if len(text) <= _ECHO_MAX:
+        return repr(text)
+    return repr(text[:_ECHO_MAX]) + "..."
+
+
+def _int_error(tokens: list[str], what: str, text: str) -> str:
+    """Why int() refused one of the tokens of the line text.
+
+    int() reads an optional sign and decimal digits, but no more digits than
+    sys.get_int_max_str_digits(); a token of that form it refused is an
+    integer with too many digits.
+    """
+    for token in tokens:
+        try:
+            int(token)
+        except ValueError:
+            digits = token[1:] if token[:1] in ("+", "-") else token
+            if digits.isdecimal():
+                return "number has too many digits"
+            break
+    return f"non-integer {what} in {_echo(text)}"
+
+
 def _content_lines(path: str) -> list[tuple[int, str]]:
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
@@ -71,7 +100,7 @@ def parse_graph_file(path: str) -> Graph:
     line_no, header = lines[0]
     parts = header.split()
     if len(parts) != 2 or not all(p.isdecimal() for p in parts):
-        raise ParseError(path, line_no, f"expected 'n m', got {header!r}")
+        raise ParseError(path, line_no, f"expected 'n m', got {_echo(header)}")
     try:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
@@ -89,11 +118,11 @@ def parse_graph_file(path: str) -> Graph:
         for line_no, text in lines[1:]:
             parts = text.split()
             if len(parts) != 2:
-                raise ValueError(f"expected 'u v', got {text!r}")
+                raise ValueError(f"expected 'u v', got {_echo(text)}")
             try:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ValueError(f"non-integer vertex in {text!r}") from None
+                raise ValueError(_int_error(parts, "vertex", text)) from None
             yield u, v
 
     try:
@@ -125,12 +154,13 @@ def parse_lists_file(
     for line_no, text in lines:
         head, sep, tail = text.partition(":")
         if not sep:
-            raise ParseError(path, line_no, f"expected 'v: colors', got {text!r}")
+            raise ParseError(path, line_no, f"expected 'v: colors', got {_echo(text)}")
         try:
             v = int(head.strip())
             colors = list(map(int, tail.split()))
         except ValueError:
-            raise ParseError(path, line_no, f"non-integer entry in {text!r}")
+            reason = _int_error([head.strip(), *tail.split()], "entry", text)
+            raise ParseError(path, line_no, reason) from None
         if v < 0:
             raise ParseError(path, line_no, f"negative vertex {v}")
         if v >= n:

@@ -1,5 +1,10 @@
 """Exact maximum average degree and the exact-rational verification of the
-sparsity discharging algebra."""
+sparsity discharging algebra.
+
+Mad is found by Dinkelbach iteration over Goldberg's max-flow cut, started
+from the densest core; the flow is a highest-label push-relabel max-flow
+that runs phase 1 only and reads the min cut off its residual graph.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph
+from .graph import Graph, peel
 
 
 @dataclass(frozen=True)
@@ -17,8 +22,17 @@ class MadResult:
     flow_calls: int                 # max-flow computations it took
 
 
-class _Dinic:
-    """Integer-capacity max flow by Dinic's blocking flows, without recursion."""
+class _PushRelabel:
+    """Integer-capacity max flow by highest-label push-relabel, without
+    recursion.
+
+    It runs phase 1 only, which is all a min cut needs: it saturates the
+    source's arcs, routes each node's excess straight to the sink where an
+    arc allows, labels every node with its exact residual distance to the
+    sink by one reverse BFS, and then discharges the highest-labelled active
+    node first. A label no node holds any more (a gap) lifts every node above
+    it out of play, and the BFS is repeated after O(nodes + arcs) work.
+    """
 
     def __init__(self, size: int) -> None:
         self.size = size
@@ -26,76 +40,137 @@ class _Dinic:
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, cap: int) -> None:
+    def add_edge(self, u: int, v: int, cap: int, back: int = 0) -> None:
+        """An arc u -> v of capacity cap, paired with v -> u of capacity back."""
         self.adj[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(cap)
         self.adj[v].append(len(self.to))
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(back)
 
-    def _bfs(self, s: int) -> list[int]:
-        level = [-1] * self.size
-        level[s] = 0
-        frontier = [s]
+    def _distances(self, t: int) -> list[int]:
+        """Each node's residual distance to t; size for the nodes that cannot
+        reach t, the source among them once its arcs are saturated."""
+        size, adj, to, cap = self.size, self.adj, self.to, self.cap
+        dist = [size] * size
+        dist[t] = 0
+        frontier = [t]
+        d = 0
         while frontier:
+            d += 1
             nxt = []
-            for u in frontier:
-                for e in self.adj[u]:
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
+            for v in frontier:
+                for e in adj[v]:
+                    u = to[e]
+                    if dist[u] == size and cap[e ^ 1]:
+                        dist[u] = d
+                        nxt.append(u)
             frontier = nxt
-        return level
+        return dist
 
-    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
-        """Push flow along the first s-t path of the level graph; 0 if none.
-
-        Depth-first over the edges from it[u] on, with the path kept as a
-        list of edge ids; a dead end advances its parent's edge pointer.
-        """
-        adj, to, cap = self.adj, self.to, self.cap
-        path: list[int] = []
-        u = s
-        while u != t:
-            edges = adj[u]
-            i = it[u]
-            while i < len(edges):
-                e = edges[i]
-                if cap[e] > 0 and level[to[e]] == level[u] + 1:
-                    break
-                i += 1
-            it[u] = i
-            if i < len(edges):
-                path.append(e)
-                u = to[e]
-            elif path:
-                u = to[path.pop() ^ 1]
-                it[u] += 1
-            else:
-                return 0
-        pushed = min(cap[e] for e in path)
-        for e in path:
-            cap[e] -= pushed
-            cap[e ^ 1] += pushed
-        return pushed
-
-    def max_flow(self, s: int, t: int) -> tuple[int, list[int]]:
-        """The max flow value, and the levels of the final BFS, which fails
-        to reach t: level[v] >= 0 exactly on the source side of a min cut.
-        """
-        flow = 0
+    def min_cut(self, s: int, t: int) -> tuple[int, list[bool]]:
+        """The max flow value, and the source side of a min cut: side[v] is
+        True exactly when v cannot reach t in the final residual graph."""
+        size, adj, to, cap = self.size, self.adj, self.to, self.cap
+        excess = [0] * size
+        for e in adj[s]:
+            c = cap[e]
+            if c:
+                cap[e] = 0
+                cap[e ^ 1] += c
+                excess[to[e]] += c
+        for v in range(size):
+            if excess[v] and v != t:
+                for e in adj[v]:
+                    if to[e] == t and cap[e]:
+                        d = min(excess[v], cap[e])
+                        cap[e] -= d
+                        cap[e ^ 1] += d
+                        excess[v] -= d
+                        excess[t] += d
+        # A relabel's work is its arc scan plus a fixed 12; this much work
+        # between two BFS rounds keeps the labels close to exact.
+        work_limit = 4 * (size + len(to))
         while True:
-            level = self._bfs(s)
-            if level[t] < 0:
-                return flow, level
-            it = [0] * self.size
-            while True:
-                pushed = self._augment(s, t, level, it)
-                if pushed == 0:
-                    break
-                flow += pushed
+            # A round starts from exact labels; active[d] and members[d] hold
+            # the active and all nodes labelled d < size. Only t has label
+            # 0, so level 0 is never discharged.
+            label = self._distances(t)
+            active: list[list[int]] = [[] for _ in range(size)]
+            members: list[set[int]] = [set() for _ in range(size)]
+            for v in range(size):
+                if label[v] < size:
+                    members[label[v]].add(v)
+                    if excess[v]:
+                        active[label[v]].append(v)
+            current = [0] * size
+            top = max((d for d in range(size) if active[d]), default=0)
+            work = 0
+            while top > 0 and work <= work_limit:
+                if not active[top]:
+                    top -= 1
+                    continue
+                u = active[top].pop()
+                du = label[u]
+                ex = excess[u]
+                arcs = adj[u]
+                i = current[u]
+                while True:
+                    while i < len(arcs):
+                        e = arcs[i]
+                        c = cap[e]
+                        if c:
+                            v = to[e]
+                            if label[v] == du - 1:
+                                d = ex if ex < c else c
+                                cap[e] = c - d
+                                cap[e ^ 1] += d
+                                if not excess[v]:
+                                    active[du - 1].append(v)
+                                    if du - 1 > top:
+                                        top = du - 1
+                                excess[v] += d
+                                ex -= d
+                                if not ex:
+                                    break
+                        i += 1
+                    if not ex:
+                        break
+                    # Relabel u to one above its lowest residual neighbour.
+                    work += len(arcs) + 12
+                    new = size
+                    for e in arcs:
+                        if cap[e]:
+                            lv = label[to[e]] + 1
+                            if lv < new:
+                                new = lv
+                    level = members[du]
+                    level.discard(u)
+                    if not level:
+                        # Gap: nothing at du, so nothing above it reaches t.
+                        # The levels in use are contiguous, so the lift ends
+                        # at the first empty one; none of them holds an
+                        # active node, since u came from the top.
+                        for d in range(du + 1, size):
+                            if not members[d]:
+                                break
+                            for v in members[d]:
+                                label[v] = size
+                            members[d] = set()
+                        new = size
+                    label[u] = new
+                    if new == size:
+                        break
+                    members[new].add(u)
+                    du = new
+                    i = 0
+                excess[u] = ex
+                current[u] = i
+            if top <= 0:
+                break
+        label = self._distances(t)
+        return excess[t], [d == size for d in label]
 
 
 def _induced_edge_count(g: Graph, vertices: tuple[int, ...]) -> int:
@@ -103,38 +178,58 @@ def _induced_edge_count(g: Graph, vertices: tuple[int, ...]) -> int:
     return sum(1 for v in vertices for u in g.neighbors(v) if u in inside) // 2
 
 
-def _denser_subgraph(g: Graph, guess: Fraction) -> tuple[int, ...] | None:
-    """A vertex set with e(S)/|S| > guess, or None if none exists.
+def _denser_subgraph(
+    g: Graph, vertices: tuple[int, ...], guess: Fraction
+) -> tuple[int, ...] | None:
+    """A set S of the given vertices with e(S)/|S| > guess, or None if none
+    exists.
 
-    Network: source -> v with capacity m, v -> sink with capacity
-    m + 2*guess - d(v), and capacity 1 both ways on each edge; a min cut
-    below n*m corresponds to a subgraph denser than the guess. Capacities
-    are scaled by the guess's denominator to stay integral.
+    Network on the subgraph H they induce, with m = e(H): source -> v with
+    capacity m, v -> sink with capacity m + 2*guess - d_H(v), and capacity 1
+    both ways on each edge; a min cut below n(H)*m corresponds to a subgraph
+    denser than the guess. Capacities are scaled by the guess's denominator
+    to stay integral.
     """
-    n, m = g.n, g.m
+    index = {v: i for i, v in enumerate(vertices)}
+    n = len(vertices)
     a, b = guess.numerator, guess.denominator
-    net = _Dinic(n + 2)
+    net = _PushRelabel(n + 2)
     s, t = n, n + 1
-    for v in range(n):
-        net.add_edge(s, v, m * b)
-        net.add_edge(v, t, m * b + 2 * a - g.degree(v) * b)
-    for u, v in g.edges():
-        net.add_edge(u, v, b)
-        net.add_edge(v, u, b)
-    flow, level = net.max_flow(s, t)
+    degree = [0] * n
+    for i, v in enumerate(vertices):
+        for u in g.neighbors(v):
+            j = index.get(u)
+            if j is not None:
+                degree[i] += 1
+                if j > i:
+                    net.add_edge(i, j, b, b)
+    m = sum(degree) // 2
+    for i in range(n):
+        net.add_edge(s, i, m * b)
+        net.add_edge(i, t, m * b + 2 * a - degree[i] * b)
+    flow, side = net.min_cut(s, t)
     if flow >= n * m * b:
         return None
-    return tuple(v for v in range(n) if level[v] >= 0)
+    return tuple(v for i, v in enumerate(vertices) if side[i])
 
 
 def mad_exact(g: Graph) -> MadResult:
     """Maximum of 2*e(H)/n(H) over nonempty subgraphs, exactly.
 
-    Dinkelbach iteration over Goldberg's max-flow cut: start from the whole
-    vertex set's density m/n; while the cut finds a set S denser than the
-    current density, move to S and its density e(S)/|S|. Densities rise
-    strictly and take finitely many values, so the loop ends, and it ends
-    only when no set is denser: the last set is a densest subgraph.
+    Dinkelbach iteration over Goldberg's max-flow cut, with the flow by
+    push-relabel, started from the densest core. A densest subgraph S* has
+    degree at least rho* = e(S*)/|S*| at each of its vertices, inside S*; so
+    if rho* exceeds the current density rho, S* lies in the
+    (floor(rho)+1)-core. While that core is denser than rho, the iteration
+    moves to it. Then one flow on the core either finds a set S denser than
+    rho, and the iteration moves to S and its density e(S)/|S|, or shows
+    that no set is denser. Densities rise strictly and take finitely many
+    values, so the loop ends, and it ends only when no set is denser: the
+    last set is a densest subgraph.
+
+    `flow_calls` counts the flow computations only; core moves are free.
+    Which densest set is returned as the witness is an implementation
+    detail.
     """
     if g.n == 0:
         raise ValueError("Mad of the empty graph is undefined")
@@ -144,8 +239,14 @@ def mad_exact(g: Graph) -> MadResult:
     density = Fraction(g.m, g.n)
     flow_calls = 0
     while True:
+        # Never empty: a graph of density rho > 0 has degeneracy above rho.
+        core = peel(g, math.floor(density) + 1)[1]
+        core_density = Fraction(_induced_edge_count(g, core), len(core))
+        if core_density > density:
+            best, density = core, core_density
+            continue
         flow_calls += 1
-        denser = _denser_subgraph(g, density)
+        denser = _denser_subgraph(g, core, density)
         if denser is None:
             return MadResult(2 * density, best, flow_calls)
         best = denser

@@ -58,6 +58,13 @@ def test_parse_graph_file(tmp_path):
         ("1000000000000 0\n", "exceed the limit"),
         # past the digits int() converts
         pytest.param("1" * 5000 + " 0\n", "too many digits", id="5000-digit-header"),
+        pytest.param("2 1\n0 " + "1" * 5000 + "\n", "number has too many digits",
+                     id="5000-digit-vertex"),
+        # a long line is quoted by a short prefix only
+        pytest.param("2 1\n0 " + "x" * 5000 + "\n", "non-integer vertex in '0 xxx",
+                     id="5000-char-vertex"),
+        pytest.param("x" * 5000 + " 0\n", "expected 'n m', got 'xxx",
+                     id="5000-char-header"),
     ],
 )
 def test_parse_graph_rejects(tmp_path, content, fragment):
@@ -65,9 +72,12 @@ def test_parse_graph_rejects(tmp_path, content, fragment):
     with pytest.raises(ParseError) as err:
         parse_graph_file(path)
     assert fragment in str(err.value)
+    assert len(str(err.value)) < len(path) + 100
     line = {"self-loop": 2, "duplicate": 3, "out of range": 2,
             "announces": 1, "expected": 1, "exceed the limit": 1,
-            "too many digits": 1}[fragment]
+            "too many digits": 1, "number has too many digits": 2,
+            "non-integer vertex in '0 xxx": 2,
+            "expected 'n m', got 'xxx": 1}[fragment]
     assert str(err.value).startswith(f"{path}:{line}: ")
     assert main(["mad", path]) == EXIT_USAGE
 
@@ -103,6 +113,14 @@ def test_parse_lists_file(tmp_path):
         ("1000000000000: 1\n", None, 1, "vertex 1000000000000 out of range"),
         ("# lists\n0: 1\n1: 3\n", 2, 3, "uses a color >= universe 2"),
         ("# lists\n0: 1\n1: 3\n", 0, 2, "universe must contain at least one"),
+        pytest.param("0: 1 " + "1" * 5000 + "\n", None, 1, "number has too many digits",
+                     id="5000-digit-color"),
+        pytest.param("1" * 5000 + ": 1\n", None, 1, "number has too many digits",
+                     id="5000-digit-vertex"),
+        pytest.param("0: 1\n1: " + "x" * 5000 + "\n", None, 2,
+                     "non-integer entry in '1: xxx", id="5000-char-entry"),
+        pytest.param("0: 1\n" + "1" * 5000 + "\n", None, 2,
+                     "expected 'v: colors', got '111", id="5000-char-line"),
     ],
 )
 def test_parse_lists_rejects(tmp_path, capsys, content, universe, line, fragment):
@@ -111,6 +129,7 @@ def test_parse_lists_rejects(tmp_path, capsys, content, universe, line, fragment
         parse_lists_file(path, universe)
     assert str(err.value).startswith(f"{path}:{line}: ")
     assert fragment in str(err.value)
+    assert len(str(err.value)) < len(path) + 100
     g = write(tmp_path, "k2.txt", "2 1\n0 1\n")
     flags = [] if universe is None else ["--universe", str(universe)]
     assert main(["solve", g, path, *flags]) == EXIT_USAGE

@@ -21,6 +21,7 @@ from listsep.graph import (
 from listsep.reducibility import greedy_kernel
 from listsep.sparsity import (
     _induced_edge_count,
+    _PushRelabel,
     mad_bruteforce,
     mad_exact,
     verify_charge_algebra,
@@ -92,6 +93,101 @@ def test_tree_mad_takes_one_flow_call():
         assert result.value == Fraction(2 * (n - 1), n)
         assert result.flow_calls == 1
     assert mad_exact(Graph(3)).flow_calls == 0
+
+
+def test_long_path_mad_takes_one_flow_call():
+    # Push-relabel drains a path's excess to its two ends in one wave, where
+    # a phase-per-path-length flow would take O(n^2).
+    result = mad_exact(path_graph(20000))
+    assert result.value == Fraction(19999, 10000)
+    assert result.flow_calls == 1
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    return Graph(offset, edges)
+
+
+def pseudoforest(rng: random.Random, n: int) -> Graph:
+    # Each vertex adds at most one edge, so no component has two cycles.
+    edges = set()
+    for v in range(n):
+        u = rng.randrange(n)
+        if u != v and rng.random() < 0.9:
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(edges))
+
+
+def test_exact_matches_bruteforce_on_sparse_families():
+    rng = random.Random(29)
+    k4 = complete_graph(4)
+    graphs = [path_graph(n) for n in range(2, 13)]
+    graphs += [cycle_graph(n) for n in range(3, 13)]
+    graphs += [pseudoforest(rng, rng.randint(2, 16)) for _ in range(40)]
+    graphs += [
+        disjoint_union(random_graph(rng, rng.randint(1, 6), rng.uniform(0.2, 0.9)),
+                       random_graph(rng, rng.randint(1, 6), rng.uniform(0.2, 0.9)),
+                       pseudoforest(rng, rng.randint(1, 4)))
+        for _ in range(30)
+    ]
+    # Several densest subgraphs: two K4s, apart or joined by a path, each
+    # as dense as both together; a 5-cycle with a tail, as dense as the
+    # cycle alone; two 5-cycles and a path.
+    graphs += [
+        disjoint_union(k4, k4),
+        Graph(12, k4.edges() + [(u + 8, v + 8) for u, v in k4.edges()]
+              + [(3, 4), (4, 5), (5, 6), (6, 7), (7, 8)]),
+        Graph(8, cycle_graph(5).edges() + [(4, 5), (5, 6), (6, 7)]),
+        disjoint_union(cycle_graph(5), path_graph(3), cycle_graph(5)),
+    ]
+    for g in graphs:
+        result = mad_exact(g)
+        assert result.value == mad_bruteforce(g).value, g
+        sub, _ = induced_subgraph(g, result.witness)
+        assert Fraction(2 * sub.m, sub.n) == result.value
+
+
+def brute_min_cut(size, s, t, arcs) -> tuple[int, set[int]]:
+    """The least capacity of a cut over all source sides holding s, not t,
+    and the union of the source sides of least capacity."""
+    others = [v for v in range(size) if v not in (s, t)]
+    best, union = None, set()
+    for pick in range(1 << len(others)):
+        side = {s} | {v for i, v in enumerate(others) if pick >> i & 1}
+        cut = sum(c for u, v, c in arcs if u in side and v not in side)
+        if best is None or cut < best:
+            best, union = cut, set()
+        if cut == best:
+            union |= side
+    return best, union
+
+
+def test_push_relabel_matches_bruteforce_min_cut():
+    rng = random.Random(37)
+    parallel = antiparallel = 0
+    for _ in range(2000):
+        size = rng.randint(2, 10)
+        s, t = rng.sample(range(size), 2)
+        net = _PushRelabel(size)
+        arcs = []   # (tail, head, capacity), both arcs of each pair
+        for _ in range(rng.randint(0, 4 * size)):
+            u, v = rng.sample(range(size), 2)
+            cap, back = rng.choice((0, 0, 1, 2, 3, 7)), rng.choice((0, 0, 0, 1, 4))
+            net.add_edge(u, v, cap, back)
+            arcs += [(u, v, cap), (v, u, back)]
+        pairs = [(u, v) for u, v, c in arcs[::2]]
+        parallel += len(pairs) > len(set(pairs))
+        antiparallel += any((v, u) in pairs for u, v in pairs)
+        flow, side = net.min_cut(s, t)
+        least, union = brute_min_cut(size, s, t, arcs)
+        assert flow == least
+        assert sum(c for u, v, c in arcs if side[u] and not side[v]) == flow
+        # The nodes that cannot reach t form the largest min-cut source side.
+        assert {v for v in range(size) if side[v]} == union
+    assert parallel > 500 and antiparallel > 500
 
 
 def test_mad_monotone_under_subgraphs():
