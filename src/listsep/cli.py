@@ -27,7 +27,7 @@ from .choosability import (
     verify_not_choosable,
 )
 from .constructions import build_book, build_gadget35
-from .graph import Graph
+from .graph import Graph, short_number
 from .reducibility import (
     DEFAULT_SEED,
     find_reducible_edges,
@@ -107,9 +107,8 @@ def parse_graph_file(path: str) -> Graph:
         # int() refuses strings past sys.get_int_max_str_digits() digits.
         raise ParseError(path, line_no, "header number has too many digits") from None
     if len(lines) - 1 != m:
-        raise ParseError(
-            path, line_no, f"header announces {m} edges, file has {len(lines) - 1}"
-        )
+        raise ParseError(path, line_no, f"header announces {short_number(m)} edges,"
+                         f" file has {len(lines) - 1}")
 
     def pairs():
         # Graph checks range, self-loops and duplicates as it consumes each
@@ -162,19 +161,24 @@ def parse_lists_file(
             reason = _int_error([head.strip(), *tail.split()], "entry", text)
             raise ParseError(path, line_no, reason) from None
         if v < 0:
-            raise ParseError(path, line_no, f"negative vertex {v}")
+            raise ParseError(path, line_no, f"negative vertex {short_number(v)}")
         if v >= n:
-            raise ParseError(path, line_no, f"vertex {v} out of range for {n} lists")
+            raise ParseError(
+                path, line_no, f"vertex {short_number(v)} out of range for {n} lists"
+            )
         if lists[v] is not None:
             raise ParseError(path, line_no, f"vertex {v} listed twice")
         if not colors:
             raise ParseError(path, line_no, f"vertex {v} has an empty list")
         if universe is not None and max(colors) >= universe:
             raise ParseError(
-                path, line_no, f"vertex {v} uses a color >= universe {universe}"
+                path, line_no,
+                f"vertex {v} uses a color >= universe {short_number(universe)}",
             )
         if "-" in tail and min(colors) < 0:    # only a "-" makes an int negative
-            raise ParseError(path, line_no, f"negative color {min(colors)}")
+            raise ParseError(
+                path, line_no, f"negative color {short_number(min(colors))}"
+            )
         lists[v] = colors
     names = sorted(set().union(*lists))
     bit = {c: 1 << i for i, c in enumerate(names)}
@@ -248,6 +252,7 @@ def _cmd_check_choosable(args, out: _Out) -> int:
     verdict = decide_choosable(g, _params(args), limits)
     out.emit("verdict", verdict.verdict)
     out.emit("assignments_tested", verdict.assignments_tested)
+    out.emit("solves", verdict.solves)
     out.emit("nodes", verdict.nodes_used)
     if verdict.witness is not None and args.emit_witness:
         with open(args.emit_witness, "w", encoding="utf-8") as fh:

@@ -10,6 +10,15 @@ from typing import Iterable
 # usage error, refused before anything is allocated.
 MAX_VERTICES = 100_000
 
+# An error message prints at most this many characters of a number.
+_NUMBER_MAX = 20
+
+
+def short_number(x: int) -> str:
+    """x in decimal for an error message, cut to a short prefix."""
+    text = str(x)
+    return text if len(text) <= _NUMBER_MAX else text[:_NUMBER_MAX] + "..."
+
 
 class Graph:
     """Simple undirected graph on dense vertex ids 0..n-1.
@@ -30,12 +39,15 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         if n > MAX_VERTICES:
-            raise ValueError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+            raise ValueError(
+                f"{short_number(n)} vertices exceed the limit of {MAX_VERTICES}"
+            )
         adj: list[set[int]] = [set() for _ in range(n)]
         m = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+                raise ValueError(f"edge ({short_number(u)},{short_number(v)})"
+                                 f" out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if v in adj[u]:

@@ -8,13 +8,19 @@ import time
 from types import SimpleNamespace
 
 from listsep import budget, choosability
-from listsep.assignments import ListAssignment, SeparationParams, is_valid_assignment
+from listsep.assignments import (
+    ListAssignment,
+    SeparationParams,
+    is_proper_coloring,
+    is_valid_assignment,
+)
 from listsep.budget import CLOCK_EVERY, BudgetExceeded, Meter
 from listsep.choosability import (
     CHOOSABLE,
     NOT_CHOOSABLE,
     RESOURCE_LIMIT,
     Budget,
+    ChoosabilityVerdict,
     decide_choosable,
     verify_not_choosable,
 )
@@ -135,7 +141,7 @@ def test_clock_is_read_once_per_1024_nodes(monkeypatch):
 
     monkeypatch.setattr(budget, "time", SimpleNamespace(monotonic=monotonic))
     p = SeparationParams(3, 5)
-    for g, max_nodes, expected in ((complete_bipartite_graph(3, 3), 10_000_000, 285),
+    for g, max_nodes, expected in ((complete_bipartite_graph(3, 3), 10_000_000, 283),
                                    (complete_graph(5), 100_000, 98)):
         reads.clear()
         verdict = decide_choosable(g, p, Budget(max_nodes, max_seconds=3600))
@@ -145,15 +151,15 @@ def test_clock_is_read_once_per_1024_nodes(monkeypatch):
 
 def test_metering_leaves_counts_of_runs_within_budget():
     g, p = complete_bipartite_graph(3, 3), SeparationParams(3, 5)
-    for limits in (Budget(), Budget(max_nodes=290_930, max_seconds=3600)):
+    for limits in (Budget(), Budget(max_nodes=289_742, max_seconds=3600)):
         verdict = decide_choosable(g, p, limits)
         assert verdict.verdict == CHOOSABLE
-        assert (verdict.assignments_tested, verdict.nodes_used) == (216, 290_930)
+        assert (verdict.assignments_tested, verdict.nodes_used) == (216, 289_742)
 
 
 def test_budgeted_counts_of_graphs_past_the_budget():
     p, limits = SeparationParams(3, 5), Budget(max_nodes=400_000)
-    for g, tested in ((complete_graph(5), 701), (icosahedron_graph(), 2_534),
+    for g, tested in ((complete_graph(5), 711), (icosahedron_graph(), 2_576),
                       (complete_bipartite_graph(4, 4), 0)):
         verdict = decide_choosable(g, p, limits)
         assert (verdict.verdict, verdict.assignments_tested, verdict.nodes_used) == (
@@ -330,7 +336,7 @@ def enumeration_record(enumerate_on, h: Graph, p: SeparationParams, max_nodes: i
 # Small decisions to cut at every node count up to their end, as (graph,
 # params, nodes the whole decision takes).
 CUT_CASES = [
-    (complete_bipartite_graph(2, 4), SeparationParams(2, 3), 293),
+    (complete_bipartite_graph(2, 4), SeparationParams(2, 3), 227),
     (cycle_graph(5), SeparationParams(2, 2), 13),
     (complete_graph(4), SeparationParams(3, 3), 19),
 ]
@@ -432,3 +438,83 @@ def test_decisions_match_reference_enumeration(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(choosability, "_tight_assignments", reference)
         assert mine == [decide_choosable(g, p, limits) for g, p, limits in runs]
+
+
+def reference_decide(g: Graph, p: SeparationParams, limits: Budget):
+    """`decide_choosable` without the coloring pool: every tight assignment
+    is loaded into its subgraph's search and run."""
+    meter = Meter(limits)
+    core_ids = greedy_kernel(g, p.k).kernel_vertices
+    tested, candidates = 0, {}
+    try:
+        for size in range(len(core_ids), 0, -1):
+            for subset in itertools.combinations(core_ids, size):
+                h, kept = induced_subgraph(g, subset)
+                if min(h.degree(v) for v in range(h.n)) < p.k:
+                    continue
+                search = choosability._Search(h, meter)
+                for masks, used in choosability._tight_assignments(
+                    h, p, meter, candidates
+                ):
+                    tested += 1
+                    search.load(masks)
+                    if not search.run():
+                        witness = choosability._pad_witness(g, kept, masks, used, p)
+                        return ChoosabilityVerdict(
+                            NOT_CHOOSABLE, witness, tested, meter.nodes, tested
+                        )
+    except BudgetExceeded:
+        return ChoosabilityVerdict(RESOURCE_LIMIT, None, tested, meter.nodes, tested)
+    return ChoosabilityVerdict(CHOOSABLE, None, tested, meter.nodes, tested)
+
+
+def test_pool_matches_running_every_assignment(monkeypatch):
+    """A pooled coloring settles an assignment only when it colors it, so
+    decisions keep the verdicts and witnesses of running every search, stay
+    decided under every budget that decides them without the pool, and
+    never take more nodes."""
+    hits = []
+
+    class CheckedPool(choosability._ColoringPool):
+        def __init__(self, h, p):
+            super().__init__(h, p)
+            self.h = h
+
+        def fit(self, masks):
+            if not super().fit(masks):
+                return False
+            col, low = self.colorings[0], (1 << self.width) - 1
+            coloring = {v: (col >> s & low).bit_length() - 1
+                        for v, s in enumerate(self.shifts)}
+            assert all(masks[v] >> c & 1 for v, c in coloring.items())
+            assert is_proper_coloring(self.h, ListAssignment(masks), coloring)
+            hits.append(masks)
+            return True
+
+    monkeypatch.setattr(choosability, "_ColoringPool", CheckedPool)
+    runs = [(g, p, Budget(max_nodes)) for g, p in seeded_cases(60, 2027)
+            for max_nodes in (1_000, 50_000)]
+    for g, p, _ in CUT_CASES:
+        full = reference_decide(g, p, Budget()).nodes_used
+        runs += [(g, p, Budget(max_nodes)) for max_nodes in range(full + 1)]
+    outcomes, regimes = set(), set()
+    for g, p, limits in runs:
+        mine, ref = decide_choosable(g, p, limits), reference_decide(g, p, limits)
+        outcomes.add((mine.verdict, ref.verdict))
+        regimes.add(p.regime)
+        assert mine.nodes_used <= ref.nodes_used
+        assert mine.solves <= mine.assignments_tested
+        if ref.verdict != RESOURCE_LIMIT:
+            assert (mine.verdict, mine.witness, mine.assignments_tested) == (
+                ref.verdict, ref.witness, ref.assignments_tested)
+        elif mine.verdict != RESOURCE_LIMIT:
+            # The pool reached further within the budget: it must land where
+            # running every assignment does without one.
+            ref = reference_decide(g, p, Budget(max_nodes=10**9))
+            assert (mine.verdict, mine.witness, mine.assignments_tested) == (
+                ref.verdict, ref.witness, ref.assignments_tested)
+    assert {(CHOOSABLE, CHOOSABLE), (NOT_CHOOSABLE, NOT_CHOOSABLE),
+            (RESOURCE_LIMIT, RESOURCE_LIMIT),
+            (NOT_CHOOSABLE, RESOURCE_LIMIT)} <= outcomes
+    assert regimes == {"union", "intersection"}
+    assert hits

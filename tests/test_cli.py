@@ -65,6 +65,14 @@ def test_parse_graph_file(tmp_path):
                      id="5000-char-vertex"),
         pytest.param("x" * 5000 + " 0\n", "expected 'n m', got 'xxx",
                      id="5000-char-header"),
+        # a number int() converts is printed by a short prefix only
+        pytest.param("2 1\n0 " + "1" * 4000 + "\n",
+                     f"edge (0,{'1' * 20}...) out of range for n=2",
+                     id="4000-digit-edge-vertex"),
+        pytest.param("1" * 4000 + " 0\n", f"{'1' * 20}... vertices exceed the limit",
+                     id="4000-digit-vertex-count"),
+        pytest.param("2 " + "1" * 4000 + "\n", f"header announces {'1' * 20}... edges",
+                     id="4000-digit-edge-count"),
     ],
 )
 def test_parse_graph_rejects(tmp_path, content, fragment):
@@ -77,7 +85,10 @@ def test_parse_graph_rejects(tmp_path, content, fragment):
             "announces": 1, "expected": 1, "exceed the limit": 1,
             "too many digits": 1, "number has too many digits": 2,
             "non-integer vertex in '0 xxx": 2,
-            "expected 'n m', got 'xxx": 1}[fragment]
+            "expected 'n m', got 'xxx": 1,
+            f"edge (0,{'1' * 20}...) out of range for n=2": 2,
+            f"{'1' * 20}... vertices exceed the limit": 1,
+            f"header announces {'1' * 20}... edges": 1}[fragment]
     assert str(err.value).startswith(f"{path}:{line}: ")
     assert main(["mad", path]) == EXIT_USAGE
 
@@ -121,6 +132,16 @@ def test_parse_lists_file(tmp_path):
                      "non-integer entry in '1: xxx", id="5000-char-entry"),
         pytest.param("0: 1\n" + "1" * 5000 + "\n", None, 2,
                      "expected 'v: colors', got '111", id="5000-char-line"),
+        # a number int() converts is printed by a short prefix only
+        pytest.param("-" + "1" * 4000 + ": 1\n", None, 1,
+                     f"negative vertex -{'1' * 19}...", id="4000-digit-negative-vertex"),
+        pytest.param("0: 1\n" + "1" * 4000 + ": 1\n", None, 2,
+                     f"vertex {'1' * 20}... out of range for 2 lists",
+                     id="4000-digit-vertex"),
+        pytest.param("0: -" + "1" * 4000 + "\n", None, 1,
+                     f"negative color -{'1' * 19}...", id="4000-digit-negative-color"),
+        pytest.param("0: " + "2" * 4000 + "\n", int("1" * 4000), 1,
+                     f"universe {'1' * 20}...", id="4000-digit-universe"),
     ],
 )
 def test_parse_lists_rejects(tmp_path, capsys, content, universe, line, fragment):
@@ -344,7 +365,11 @@ def test_machine_output_is_stable(capsys, tmp_path):
     assert main(argv) == EXIT_OK
     second = capsys.readouterr().out
     assert first == second
-    assert "verdict=CHOOSABLE" in first
+    # 17 tight assignments, of which a pooled coloring settled 9.
+    assert first.splitlines() == [
+        "verdict=CHOOSABLE", "assignments_tested=17", "solves=8", "nodes=159"]
+    assert main(argv[2:]) == EXIT_OK
+    assert "solves: 8" in capsys.readouterr().out.splitlines()
 
 
 def test_mad_and_sparse_and_kernel(tmp_path, capsys):
