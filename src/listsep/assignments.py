@@ -64,13 +64,6 @@ class ListAssignment:
     def size(self, v: int) -> int:
         return self._masks[v].bit_count()
 
-    def drop_vertex(self, v: int) -> ListAssignment:
-        """Lists for G - v, matching Graph.delete_vertex's relabeling."""
-        if not (0 <= v < len(self)):
-            raise ValueError(f"vertex {v} out of range")
-        masks = list(self._masks[:v]) + list(self._masks[v + 1 :])
-        return ListAssignment(masks)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ListAssignment):
             return NotImplemented

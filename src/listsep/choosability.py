@@ -17,20 +17,21 @@ scanning vertices in id order, so each assignment is tested once per color
 permutation class. The first failing assignment found in this fixed order is
 returned as the witness, padded back to the full graph.
 
-Each subgraph's assignments are tested on one solver search, built once, but
-a search runs only when none of the last few proper colorings found on that
-subgraph colors the assignment from its lists; such a coloring certifies it
-as it stands. So every verdict and witness is that of testing each
-assignment by a search, and node counts can only fall.
+An assignment is solved only when none of the last few proper colorings
+found on its subgraph colors it from its lists; such a coloring certifies
+it as it stands. So every verdict and witness is that of solving each
+assignment, and node counts can only fall.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .assignments import (
     CheckResult,
+    Coloring,
     ListAssignment,
     SeparationParams,
     is_valid_assignment,
@@ -38,13 +39,13 @@ from .assignments import (
 from .budget import RESOURCE_LIMIT, Budget, BudgetExceeded, Meter
 from .graph import Graph, induced_subgraph
 from .reducibility import greedy_kernel
-from .solver import UNSAT, _Search, solve
+from .solver import SAT, UNSAT, solve
 
 CHOOSABLE = "CHOOSABLE"
 NOT_CHOOSABLE = "NOT_CHOOSABLE"
 
 # The most proper colorings of one subgraph kept to try on its next tight
-# assignments. At (3,5), K3,3 then runs 18 of its 216 tests as searches and
+# assignments. At (3,5), K3,3 then solves 18 of the 216 it tests and
 # the icosahedron 152 of the 2,576 it reaches in 400,000 nodes (one coloring:
 # 90 and 656; 64: 18 and 100).
 POOL_SIZE = 16
@@ -56,7 +57,7 @@ class ChoosabilityVerdict:
     witness: ListAssignment | None   # present iff NOT_CHOOSABLE
     assignments_tested: int
     nodes_used: int
-    solves: int    # assignments tested by a search, not by a pooled coloring
+    solves: int    # assignments solved, not fitted by a pooled coloring
 
 
 def _candidate_masks(used: int, size: int) -> list[int]:
@@ -255,42 +256,32 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
 
 
 class _ColoringPool:
-    """Up to POOL_SIZE proper colorings found on one subgraph h, most
-    recently found or fitted first; a new one drops the least recent.
+    """Up to POOL_SIZE proper colorings found on one subgraph, most recently
+    found or fitted first; a new one drops the least recent.
 
-    A coloring and a list assignment of h are each packed into one int:
-    color c of vertex v is bit v * width + c. The enumeration numbers colors
-    by first use and each of h's n lists holds at most max(k, t) of them, so
-    width = n * max(k, t) + 1 is more than any color it uses. A coloring
-    then colors an assignment from its lists iff its bits are a subset of
-    the assignment's, and being proper on h it colors it properly.
+    A coloring is kept as one color bit (1 << c) per vertex, so it colors a
+    list assignment from its lists iff each vertex's bit is in its list,
+    and being proper on the subgraph it then colors it properly.
     """
 
-    __slots__ = ("width", "shifts", "colorings")
+    __slots__ = ("colorings",)
 
-    def __init__(self, h: Graph, p: SeparationParams) -> None:
-        self.width = h.n * max(p.k, p.t) + 1
-        self.shifts = [v * self.width for v in range(h.n)]
-        self.colorings: list[int] = []
+    def __init__(self) -> None:
+        self.colorings: list[tuple[int, ...]] = []
 
     def fit(self, masks: tuple[int, ...]) -> bool:
         """True iff a pooled coloring colors `masks`; it moves to the front."""
-        packed = 0
-        for m, s in zip(masks, self.shifts):
-            packed |= m << s
         colorings = self.colorings
         for j, col in enumerate(colorings):
-            if col & packed == col:
+            if all(map(operator.and_, masks, col)):
                 if j:
                     colorings.insert(0, colorings.pop(j))
                 return True
         return False
 
-    def add(self, color: list[int]) -> None:
-        """Put a proper coloring of h, one color per vertex, in front."""
-        col = 0
-        for c, s in zip(color, self.shifts):
-            col |= 1 << s + c
+    def add(self, coloring: Coloring) -> None:
+        """Put a proper coloring of the subgraph, vertex -> color, in front."""
+        col = tuple(1 << coloring[v] for v in range(len(coloring)))
         self.colorings.insert(0, col)
         del self.colorings[POOL_SIZE:]
 
@@ -334,10 +325,10 @@ def decide_choosable(
     enumeration order, so verdicts and witnesses are deterministic.
 
     An assignment that one of the subgraph's pooled colorings colors is
-    counted as tested and costs no node; every other one is loaded into the
-    subgraph's search and run, and a coloring it finds joins the pool. So
-    the verdict and witness are those of running every assignment, and
-    `nodes_used` is never more; `solves` counts the runs.
+    counted as tested and costs no node; every other one is solved, charged
+    to the decision's meter, and a coloring the solve finds joins the pool.
+    So the verdict and witness are those of solving every assignment, and
+    `nodes_used` is never more; `solves` counts the solves.
     """
     meter = Meter(limits)
     core_ids = greedy_kernel(g, p.k).kernel_vertices
@@ -349,20 +340,18 @@ def decide_choosable(
                 h, kept = induced_subgraph(g, subset)
                 if min(h.degree(v) for v in range(h.n)) < p.k:
                     continue
-                # One search per subgraph, loaded with each tight assignment
-                # no pooled coloring colors; it charges the decision's meter
-                # like a solve would.
-                search = _Search(h, meter)
-                pool = _ColoringPool(h, p)
+                pool = _ColoringPool()
                 for masks, used in _tight_assignments(h, p, meter, candidates):
                     tested += 1
                     if pool.fit(masks):
                         continue
                     solves += 1
-                    search.load(masks)
-                    if search.run():
-                        pool.add(search.color)
+                    result = solve(h, ListAssignment(masks), meter)
+                    if result.verdict == SAT:
+                        pool.add(result.witness)
                         continue
+                    if result.verdict == RESOURCE_LIMIT:
+                        raise BudgetExceeded
                     witness = _pad_witness(g, kept, masks, used, p)
                     return ChoosabilityVerdict(
                         NOT_CHOOSABLE, witness, tested, meter.nodes, solves

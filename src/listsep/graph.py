@@ -27,10 +27,10 @@ class Graph:
     constructor is the one place that checks edges for range, self-loops and
     duplicates.
 
-    Instances are immutable; ``delete_vertex``/``delete_edge`` return new
-    graphs, so callers can hold G, G-u, G-v and G-uv side by side.
-    Vertex deletion renumbers survivors by the stable map w -> w for w < v,
-    w -> w-1 for w > v.
+    Instances are immutable; ``delete_edge`` and ``induced_subgraph``
+    return new graphs, so callers can hold G, G-u, G-v and G-uv side by
+    side. ``induced_subgraph`` renumbers the kept vertices in id order, so
+    G-v maps w -> w for w < v and w -> w-1 for w > v.
     """
 
     __slots__ = ("n", "m", "_nbrs")
@@ -87,17 +87,6 @@ class Graph:
         if u == v:
             raise ValueError("common_neighbor_count requires two distinct vertices")
         return len(set(self._nbrs[u]).intersection(self._nbrs[v]))
-
-    def delete_vertex(self, v: int) -> Graph:
-        self._check_vertex(v)
-
-        def relabel(w: int) -> int:
-            return w if w < v else w - 1
-
-        edges = [
-            (relabel(a), relabel(b)) for a, b in self.edges() if a != v and b != v
-        ]
-        return Graph(self.n - 1, edges)
 
     def delete_edge(self, u: int, v: int) -> Graph:
         if not self.has_edge(u, v):

@@ -6,8 +6,6 @@ import random
 from dataclasses import dataclass
 
 from .assignments import ListAssignment, SeparationParams, is_valid_assignment
-# induced_subgraph is not used here, but perfbench/spans.py wraps it as
-# `listsep.reducibility.induced_subgraph` for its traced run.
 from .graph import Graph, induced_subgraph, peel
 from .solver import SAT, solve
 
@@ -77,9 +75,15 @@ def check_edge_reduction(
     if not check:
         raise ValueError(f"assignment is not a valid (k,t)-assignment: {check.reason}")
 
+    def colorable_without(x: int) -> bool:
+        """Whether G - x is colorable from the lists of the other vertices."""
+        h, kept = induced_subgraph(g, [w for w in range(g.n) if w != x])
+        sub = ListAssignment([lists.mask(w) for w in kept])
+        return solve(h, sub).verdict == SAT
+
     sub_sat = (
-        solve(g.delete_vertex(u), lists.drop_vertex(u)).verdict == SAT,
-        solve(g.delete_vertex(v), lists.drop_vertex(v)).verdict == SAT,
+        colorable_without(u),
+        colorable_without(v),
         solve(g.delete_edge(u, v), lists).verdict == SAT,
     )
     a = min(g.common_neighbor_count(u, v), 2)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .assignments import Coloring, ListAssignment
 from .budget import RESOURCE_LIMIT, Budget, BudgetExceeded, Meter
@@ -55,45 +55,34 @@ class SolveResult:
 
 
 class _Search:
-    """One search core for one graph: every vertex assignment is one node,
-    charged to the meter as it is made.
-
-    The graph state (neighbor tuples, degrees, `depth`, the trail and the
-    meter) is built once; `load(masks)` then sets up the candidate lists of
-    one instance on that graph and `run()` searches it, so a caller with
-    many list assignments on one graph builds one search and loads each.
+    """One search for one list-coloring instance: every vertex assignment is
+    one node, charged to the meter as it is made.
 
     The trail holds (w, 0) for a coloring of w and (w, bit) for a color
     removed from w's candidates; a frame is [vertex, untried colors, trail
     length before its decision].
 
     key[v] is INF once v is colored and |cand[v]| / deg[v] before, where
-    deg[v] is degree[v], v's degree (1 if isolated), or INF for a vertex
-    whose list is a single color from the start, so that its key is 0.
-    Propagation colors every other vertex the moment its candidates shrink
-    to one color, so between decisions no other uncolored vertex is a
-    singleton.
+    deg[v] is v's degree (1 if isolated), or INF for a vertex whose list is
+    a single color from the start, so that its key is 0. Propagation colors
+    every other vertex the moment its candidates shrink to one color, so
+    between decisions no other uncolored vertex is a singleton.
     """
 
-    __slots__ = ("nbrs", "degree", "cand", "color", "deg", "key", "depth",
-                 "trail", "meter")
+    __slots__ = ("nbrs", "cand", "color", "deg", "key", "depth", "trail",
+                 "meter")
 
-    def __init__(self, g: Graph, meter: Meter):
+    def __init__(self, g: Graph, cand: list[int], meter: Meter):
+        """Search g with `cand`, one nonempty candidate set per vertex."""
         self.nbrs = nbrs = [g.neighbors(v) for v in range(g.n)]
-        self.degree = [len(nb) or 1 for nb in nbrs]
+        self.cand = cand
+        self.color = [-1] * g.n
+        self.deg = deg = [INF if c & (c - 1) == 0 else len(nb) or 1
+                          for c, nb in zip(cand, nbrs)]
+        self.key = [c.bit_count() / d for c, d in zip(cand, deg)]
         self.depth = [0] * g.n    # decision depth that colored each vertex
         self.trail: list[tuple[int, int]] = []
         self.meter = meter
-
-    def load(self, masks: Sequence[int]) -> None:
-        """Make `masks`, one nonempty candidate set per vertex, the instance
-        that `run()` searches next, whatever an earlier run left behind."""
-        self.cand = cand = list(masks)
-        self.color = [-1] * len(cand)
-        self.deg = deg = [INF if c & (c - 1) == 0 else d
-                          for c, d in zip(cand, self.degree)]
-        self.key = [c.bit_count() / d for c, d in zip(cand, deg)]
-        self.trail.clear()
 
     def pick(self) -> int:
         """Uncolored vertex with the smallest |cand| / deg, lowest id on
@@ -245,8 +234,7 @@ def solve_with_precolor(
     if meter is None:
         meter = Meter(Budget(max_nodes=sys.maxsize))
     start = meter.nodes
-    st = _Search(g, meter)
-    st.load(cand)
+    st = _Search(g, cand, meter)
     try:
         verdict = SAT if st.run() else UNSAT
     except BudgetExceeded:

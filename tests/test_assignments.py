@@ -13,7 +13,7 @@ from listsep.assignments import (
     is_valid_assignment,
 )
 from listsep.constructions import build_gadget35
-from listsep.graph import Graph, complete_graph
+from listsep.graph import Graph, complete_graph, induced_subgraph, path_graph
 
 K2 = Graph(2, [(0, 1)])
 
@@ -124,9 +124,11 @@ def test_proper_coloring_checks():
         is_proper_coloring(K2, L2, {0: 1})
 
 
-def test_drop_vertex_matches_graph_relabeling():
+def test_induced_subgraph_ids_carry_their_lists():
     L = ListAssignment.from_sets([{0}, {1}, {2}])
-    dropped = L.drop_vertex(1)
+    h, kept = induced_subgraph(path_graph(3), [0, 2])
+    dropped = ListAssignment([L.mask(v) for v in kept])
+    assert len(dropped) == h.n
     assert dropped.colors(0) == (0,)
     assert dropped.colors(1) == (2,)
 

@@ -34,7 +34,7 @@ from listsep.graph import (
     induced_subgraph,
 )
 from listsep.reducibility import greedy_kernel
-from listsep.solver import SAT, UNSAT, solve
+from listsep.solver import UNSAT, solve
 
 
 def oracle_box_witness(g: Graph, p: SeparationParams, extra_colors=2, extra_size=1):
@@ -379,45 +379,6 @@ def test_at_most_matches_popcount():
                     assert choosability._at_most(has, len(cands), f, c) == expected
 
 
-def test_reused_search_matches_fresh_solves():
-    """One search per subgraph, loaded with each tight assignment in turn,
-    gives each the verdict, node count and witness of a fresh solve."""
-    cases = list(seeded_cases(40, 2026)) + [
-        (complete_graph(5), SeparationParams(3, 5)),
-        (icosahedron_graph(), SeparationParams(3, 5)),
-    ]
-    verdicts, after_sat = set(), 0
-    for h, p in cases:
-        loads = []
-        try:
-            enumeration = Meter(Budget(max_nodes=20_000))
-            for masks, _ in choosability._tight_assignments(h, p, enumeration, {}):
-                loads.append(masks)
-                if len(loads) == 60:
-                    break
-        except BudgetExceeded:
-            pass
-        meter = Meter(Budget(max_nodes=10**9))
-        search = choosability._Search(h, meter)
-        previous = None
-        for masks in loads:
-            start = meter.nodes
-            search.load(masks)
-            sat = search.run()
-            fresh = solve(h, ListAssignment(masks))
-            assert fresh.verdict == (SAT if sat else UNSAT)
-            assert meter.nodes - start == fresh.nodes_explored
-            if sat:
-                assert dict(enumerate(search.color)) == fresh.witness
-            # A SAT run leaves every vertex colored and its whole trail.
-            if previous is not None and previous[0] and previous[1] >= h.n:
-                after_sat += 1
-            previous = (sat, len(search.trail))
-            verdicts.add(fresh.verdict)
-    assert verdicts == {SAT, UNSAT}
-    assert after_sat > 0
-
-
 def test_decisions_match_reference_enumeration(monkeypatch):
     cases = list(seeded_cases(60, 2025)) + [
         (complete_graph(5), SeparationParams(3, 5)),
@@ -440,9 +401,24 @@ def test_decisions_match_reference_enumeration(monkeypatch):
         assert mine == [decide_choosable(g, p, limits) for g, p, limits in runs]
 
 
+def test_every_solve_goes_through_solve(monkeypatch):
+    """The decider tests each assignment the pool misses by calling the
+    solver's public `solve`, so a wrapper around it sees every one."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(choosability, "solve", counted)
+    verdict = decide_choosable(complete_bipartite_graph(3, 3), SeparationParams(3, 5))
+    assert verdict.verdict == CHOOSABLE
+    assert len(calls) == verdict.solves == 18
+
+
 def reference_decide(g: Graph, p: SeparationParams, limits: Budget):
     """`decide_choosable` without the coloring pool: every tight assignment
-    is loaded into its subgraph's search and run."""
+    is solved."""
     meter = Meter(limits)
     core_ids = greedy_kernel(g, p.k).kernel_vertices
     tested, candidates = 0, {}
@@ -452,13 +428,14 @@ def reference_decide(g: Graph, p: SeparationParams, limits: Budget):
                 h, kept = induced_subgraph(g, subset)
                 if min(h.degree(v) for v in range(h.n)) < p.k:
                     continue
-                search = choosability._Search(h, meter)
                 for masks, used in choosability._tight_assignments(
                     h, p, meter, candidates
                 ):
                     tested += 1
-                    search.load(masks)
-                    if not search.run():
+                    verdict = solve(h, ListAssignment(masks), meter).verdict
+                    if verdict == RESOURCE_LIMIT:
+                        raise BudgetExceeded
+                    if verdict == UNSAT:
                         witness = choosability._pad_witness(g, kept, masks, used, p)
                         return ChoosabilityVerdict(
                             NOT_CHOOSABLE, witness, tested, meter.nodes, tested
@@ -470,27 +447,33 @@ def reference_decide(g: Graph, p: SeparationParams, limits: Budget):
 
 def test_pool_matches_running_every_assignment(monkeypatch):
     """A pooled coloring settles an assignment only when it colors it, so
-    decisions keep the verdicts and witnesses of running every search, stay
-    decided under every budget that decides them without the pool, and
+    decisions keep the verdicts and witnesses of solving every assignment,
+    stay decided under every budget that decides them without the pool, and
     never take more nodes."""
-    hits = []
+    hits, subgraphs = [], []
+
+    def recorded_subgraph(g, vertices):
+        h, kept = induced_subgraph(g, vertices)
+        subgraphs.append(h)
+        return h, kept
 
     class CheckedPool(choosability._ColoringPool):
-        def __init__(self, h, p):
-            super().__init__(h, p)
-            self.h = h
+        def __init__(self):
+            super().__init__()
+            self.h = subgraphs[-1]
 
         def fit(self, masks):
             if not super().fit(masks):
                 return False
-            col, low = self.colorings[0], (1 << self.width) - 1
-            coloring = {v: (col >> s & low).bit_length() - 1
-                        for v, s in enumerate(self.shifts)}
+            col = self.colorings[0]
+            assert all(bit & (bit - 1) == 0 for bit in col)   # one color each
+            coloring = {v: bit.bit_length() - 1 for v, bit in enumerate(col)}
             assert all(masks[v] >> c & 1 for v, c in coloring.items())
             assert is_proper_coloring(self.h, ListAssignment(masks), coloring)
             hits.append(masks)
             return True
 
+    monkeypatch.setattr(choosability, "induced_subgraph", recorded_subgraph)
     monkeypatch.setattr(choosability, "_ColoringPool", CheckedPool)
     runs = [(g, p, Budget(max_nodes)) for g, p in seeded_cases(60, 2027)
             for max_nodes in (1_000, 50_000)]

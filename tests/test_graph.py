@@ -85,16 +85,23 @@ def test_queries_match_edge_list():
                     assert g.common_neighbor_count(u, v) == common
 
 
-def test_delete_vertex_relabels_stably():
+def without(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
+    """G - v as the subgraph induced by every other vertex."""
+    return induced_subgraph(g, [w for w in range(g.n) if w != v])
+
+
+def test_induced_subgraph_deletes_a_vertex_stably():
     k3 = complete_graph(3)
-    assert k3.delete_vertex(0) == complete_graph(2)
+    assert without(k3, 0) == (complete_graph(2), (1, 2))
     # path 0-1-2: removing the middle leaves 0 and 1 (old 2) isolated
-    p3 = path_graph(3)
-    g = p3.delete_vertex(1)
-    assert g.n == 2 and g.m == 0
+    g, kept = without(path_graph(3), 1)
+    assert (g.n, g.m, kept) == (2, 0, (0, 2))
     star = Graph(5, [(0, i) for i in range(1, 5)])
-    g = star.delete_vertex(0)
-    assert g.n == 4 and g.m == 0
+    g, kept = without(star, 0)
+    assert (g.n, g.m, kept) == (4, 0, (1, 2, 3, 4))
+    # path 0-1-2-3 less vertex 1: old 2-3 becomes 1-2
+    g, kept = without(path_graph(4), 1)
+    assert (g.edges(), kept) == ([(1, 2)], (0, 2, 3))
 
 
 def test_delete_edge_and_readd_roundtrip():

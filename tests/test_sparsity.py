@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import math
 import random
 import sys
 from fractions import Fraction
@@ -20,6 +21,7 @@ from listsep.graph import (
 )
 from listsep.reducibility import greedy_kernel
 from listsep.sparsity import (
+    _ends,
     _induced_edge_count,
     _PushRelabel,
     mad_bruteforce,
@@ -262,6 +264,39 @@ def test_charge_algebra_grid():
     for k in range(2, 7):
         for t in range(2 * k - 1, 31):
             assert verify_charge_algebra(k, t).passed, (k, t)
+
+
+def scanned_charge_checks(k: int, t: int, c: Fraction):
+    """(test, degree range) for each charge check that covers a range."""
+    c_ceil = math.ceil(c)
+    receivers = range(k, c_ceil)
+    return [
+        (lambda d: d + d * Fraction(c - d, d) == c, receivers),
+        (lambda d: t + 1 - d > c, receivers),
+        (lambda d: 2 * (t + 1 - d) * d - (t + 1) * c >= 0,
+         range(c_ceil, t + 1 - k)),
+    ]
+
+
+def test_charge_checks_at_range_ends_match_full_scans():
+    outcomes = set()
+    for k in range(2, 9):
+        for t in range(2 * k - 1, 90):
+            c = 2 * k - Fraction(2 * k * k, t + 1)
+            for shift in (0, Fraction(1, 3), Fraction(-1, 3)):
+                for test, degrees in scanned_charge_checks(k, t, c + shift):
+                    full = all(map(test, degrees))
+                    assert all(map(test, _ends(degrees))) == full, (k, t, shift)
+                    outcomes.add(full)
+            assert verify_charge_algebra(k, t).passed, (k, t)
+    assert outcomes == {True, False}
+
+
+def test_charge_algebra_at_huge_t():
+    rep = verify_charge_algebra(3, 10**12)
+    assert rep.passed
+    receivers = next(ch for ch in rep.checks if ch.name == "receiver-final-charge")
+    assert receivers.detail == "degrees 3..5 end with exactly c"
 
 
 def test_charge_algebra_guards():
