@@ -114,6 +114,20 @@ def _at_most(has: list[int], count: int, f: int, c: int) -> int:
     return within[c]
 
 
+class _AtMostMemo(dict):
+    """memo[f, c] is `_at_most(has, count, f, c)`, computed on first use."""
+
+    __slots__ = ("has", "count")
+
+    def __init__(self, has: list[int], count: int) -> None:
+        super().__init__()
+        self.has, self.count = has, count
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        bits = self[key] = _at_most(self.has, self.count, *key)
+        return bits
+
+
 def _removable_colors(m: int, lists: list[int], t: int) -> int:
     """The colors of m that can be dropped while m still reaches t in union
     with each of `lists` (it must reach t with each): those in every list
@@ -135,14 +149,15 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
     smaller subgraph or assignment that is enumerated separately.
 
     `candidates` is a memo for the whole decision that h belongs to. Under
-    (used, size) it holds the `_candidate_table`: the `_candidate_masks`
-    list and its per-color membership bitsets; under (used, size, f, c) the
-    bitset over that list's indices of the masks m with |m & f| <= c, which
-    `_at_most` computes from the membership bitsets. Every candidate tried
-    is one node, but a level tests its candidates in bulk: on entry it ANDs
-    the memoised bitsets into the set of those that pass, the walk jumps
-    from one of them to the next and charges the meter for the candidates
-    it skipped, and only i's own removable-color test runs per candidate.
+    (used, size) it holds the table (cands, has, memo): the
+    `_candidate_masks` list, its per-color membership bitsets (see
+    `_candidate_table`) and an `_AtMostMemo` whose memo[f, c] is the bitset
+    over the indices of cands of the masks m with |m & f| <= c, computed
+    once per table. Every candidate tried is one node, but a level tests its
+    candidates in bulk: on entry it ANDs the memoised bitsets into the set
+    of those that pass, the walk jumps from one of them to the next and
+    charges the meter for the candidates it skipped, and only i's own
+    removable-color test runs per candidate.
     """
     n = h.n
     k, t = p.k, p.t
@@ -154,14 +169,16 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
     edges = h.edges()
     nbrs = [h.neighbors(v) for v in range(n)]
     earlier = [[u for u in nbrs[v] if u < v] for v in range(n)]
-    # ready[i]: vertices whose whole neighborhood is assigned once i is.
-    ready: list[list[int]] = [[] for _ in range(n)]
+    # checks[i]: (w, w's neighbors but i) for each w that is ready once i
+    # is assigned: its whole neighborhood is then assigned.
+    checks: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
     for w in range(n):
-        ready[max(w, *nbrs[w])].append(w)
+        i = max(w, *nbrs[w])
+        checks[i].append((w, [u for u in nbrs[w] if u != i]))
 
     masks = [0] * n
 
-    def enter(i: int, used: int, size: int) -> list:
+    def enter(i: int, used: int) -> list:
         """Vertex i's level with `used` colors taken below it, as
         [cands, alive, pos, used, lists]: pos is the index of the next
         candidate to try, and bit j of alive is set iff cands[pos + j]
@@ -174,50 +191,67 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
         less a color removable against the others (a `trimmed` list tr,
         |tr | m| >= t iff |m & tr| <= |tr| + size - t); i does iff m has a
         color off its neighbors' union (tested once they are all fixed) or,
-        with `lists` set, a removable color.
+        with `lists` set, a removable color. Each masks[u] below i holds
+        sizes[u] colors.
         """
-        key = (used, size)
-        table = candidates.get(key)
+        size = sizes[i]
+        table = candidates.get((used, size))
         if table is None:
-            table = candidates[key] = _candidate_table(used, size)
-        cands, has = table
-
-        def at_most(f: int, c: int) -> int:
-            """Bitset of the m in cands with |m & f| <= c."""
-            if c >= min(size, f.bit_count()):
-                return -1
-            if c < 0:
-                return 0
-            memo = (used, size, f, c)
-            bits = candidates.get(memo)
-            if bits is None:
-                bits = candidates[memo] = _at_most(has, len(cands), f, c)
-            return bits
-
+            cands, has = _candidate_table(used, size)
+            table = candidates[used, size] = cands, has, _AtMostMemo(has, len(cands))
+        cands, _, memo = table
+        dead = [cands, 0, 0, used, None]
         alive = (1 << len(cands)) - 1
+        # |m & f| <= c holds for every m when c >= |m| or c >= |f|, and
+        # for none when c < 0; otherwise memo[f, c] holds the m it does.
         for u in earlier[i]:
-            f = masks[u]
-            alive &= at_most(f, size + f.bit_count() - t if union else t)
+            width = sizes[u]
+            c = size + width - t if union else t
+            if c < 0:
+                return dead
+            if c < size and c < width:
+                alive &= memo[masks[u], c]
+                if not alive:
+                    return dead
         need, lists = 0, None
-        for w in ready[i]:
-            rest = [masks[u] for u in nbrs[w] if u != i]
+        for w, others in checks[i]:
             cover = 0
-            for f in rest:
-                cover |= f
             if w == i:
-                alive &= at_most(~cover & ((1 << used + size) - 1), 0)
+                for u in others:
+                    cover |= masks[u]
+                off = ~cover & ((1 << used + size) - 1)
+                if off:
+                    alive &= memo[off, 0]
                 if union and size > k:
-                    lists = rest
+                    lists = [masks[u] for u in others]
                 continue
             mw = masks[w]
+            if not (union and sizes[w] > k):
+                for u in others:
+                    cover |= masks[u]
+                need |= mw & ~cover
+                continue
+            bits = mw    # w's removable colors, as `_removable_colors` finds them
+            for u in others:
+                f = masks[u]
+                cover |= f
+                if (mw | f).bit_count() == t:
+                    bits &= f
             need |= mw & ~cover
-            if union and mw.bit_count() > k:
-                bits = _removable_colors(mw, rest, t)
-                for c in range(bits.bit_length()):
-                    if bits >> c & 1:
-                        tr = mw ^ (1 << c)
-                        alive &= ~at_most(tr, tr.bit_count() + size - t)
-        alive &= ~at_most(need, need.bit_count() - 1)    # m holds all of need
+            if bits:    # each trimmed list mw ^ low has sizes[w] - 1 colors
+                width = sizes[w] - 1
+                c = width + size - t
+                if c >= size or c >= width:    # every m reaches t with it
+                    return dead
+                while c >= 0 and bits:
+                    low = bits & -bits
+                    bits ^= low
+                    alive &= ~memo[mw ^ low, c]
+        if need:    # m holds all of need
+            c = need.bit_count() - 1
+            if c >= size:    # no m holds it all
+                return dead
+            alive &= ~memo[need, c]
         return [cands, alive, 0, used, lists]
 
     for sizes in itertools.product(*size_ranges):
@@ -226,7 +260,7 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
         # A depth-first walk without recursion: levels[i] is what enter()
         # gave vertex i. Entries of masks past the top level are stale, but
         # a level reads only the masks below it.
-        levels = [enter(0, 0, sizes[0])]
+        levels = [enter(0, 0)]
         while levels:
             i = len(levels) - 1
             level = levels[i]
@@ -252,7 +286,7 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
             if i + 1 == n:
                 yield tuple(masks), now
             else:
-                levels.append(enter(i + 1, now, sizes[i + 1]))
+                levels.append(enter(i + 1, now))
 
 
 class _ColoringPool:
@@ -333,7 +367,7 @@ def decide_choosable(
     meter = Meter(limits)
     core_ids = greedy_kernel(g, p.k).kernel_vertices
     tested = solves = 0
-    candidates: dict[tuple[int, ...], tuple[list[int], list[int]] | int] = {}
+    candidates: dict[tuple[int, int], tuple[list[int], list[int], _AtMostMemo]] = {}
     try:
         for size in range(len(core_ids), 0, -1):
             for subset in itertools.combinations(core_ids, size):

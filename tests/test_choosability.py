@@ -357,6 +357,47 @@ def test_enumeration_matches_reference():
     assert regimes == {"union", "intersection"}
 
 
+# Dense graphs at (3,5) whose lists reach size > k, so the trimmed-list and
+# need terms filter levels, cut at 200,000 nodes.
+DENSE_CASES = [complete_graph(5), icosahedron_graph(), complete_bipartite_graph(4, 4)]
+
+
+def dense_enumeration(enumerate_on):
+    """`enumeration_record` of each of DENSE_CASES at (3,5)."""
+    p = SeparationParams(3, 5)
+    return [enumeration_record(enumerate_on, g, p, 200_000) for g in DENSE_CASES]
+
+
+def test_enumeration_matches_reference_on_dense_graphs():
+    shared = {}
+    mine = dense_enumeration(
+        lambda h, p, meter: choosability._tight_assignments(h, p, meter, shared)
+    )
+    assert mine == dense_enumeration(reference_tight_assignments)
+    assert all(masks for masks, _ in mine[:2])    # K5 and the icosahedron yield
+
+
+def test_memoised_bitsets_match_their_definition():
+    """Each memo entry memo[f, c] of a (cands, has, memo) table is the
+    bitset of the cands m with |m & f| <= c, whatever else that table's
+    memo holds for the same f."""
+    shared = {}
+    dense_enumeration(
+        lambda h, p, meter: choosability._tight_assignments(h, p, meter, shared)
+    )
+    entries = 0
+    for (used, size), (cands, has, memo) in shared.items():
+        assert cands == choosability._candidate_masks(used, size)
+        for (f, c), bits in memo.items():
+            assert bits == choosability._at_most(has, len(cands), f, c)
+            assert bits == sum(
+                1 << j for j, m in enumerate(cands) if (m & f).bit_count() <= c
+            )
+            entries += 1
+    assert entries
+    assert {c for table in shared.values() for _, c in table[2]} - {0}
+
+
 def test_candidate_masks_match_reference_sets():
     for used in range(6):
         for size in range(5):
