@@ -60,71 +60,58 @@ class ChoosabilityVerdict:
     solves: int    # assignments solved, not fitted by a pooled coloring
 
 
-def _candidate_masks(used: int, size: int) -> list[int]:
-    """All canonical color sets of a given size as bitmasks: any old colors
-    plus a block of consecutive fresh ones, in the lexicographic order of
-    their sorted color tuples."""
-    sets = []
-    for fresh in range(max(0, size - used), size + 1):
-        block = tuple(range(used, used + fresh))
-        olds = itertools.combinations(range(used), size - fresh)
-        sets += (old + block for old in olds)
-    return [sum(1 << c for c in s) for s in sorted(sets)]
+class _CandidateTable(dict):
+    """The canonical color sets of `size` colors with `used` colors taken:
+    any old colors plus a block of consecutive fresh ones. `masks` holds
+    them as bitmasks in the lexicographic order of their sorted color
+    tuples, and bit j of has[x] is set iff masks[j] holds color x.
 
-
-def _candidate_table(used: int, size: int) -> tuple[list[int], list[int]]:
-    """`_candidate_masks(used, size)` with one membership bitset per color:
-    bit j of has[x] is set iff the j-th candidate holds color x."""
-    cands = _candidate_masks(used, size)
-    has = [0] * (used + size)
-    for j, m in enumerate(cands):
-        bit = 1 << j
-        while m:
-            low = m & -m
-            has[low.bit_length() - 1] |= bit
-            m ^= low
-    return cands, has
-
-
-def _at_most(has: list[int], count: int, f: int, c: int) -> int:
-    """Bitset over `count` candidates, described by their membership
-    bitsets `has` (see `_candidate_table`), of those m with |m & f| <= c.
-
-    Bit-sliced counting: within[j] is the set of candidates that hold at
-    most j of the colors of f seen so far, updated for each color x with
-    the candidates that hold x. It takes O(|f| * c) operations on
-    `count`-bit integers, none per candidate.
+    table[f, c] is the bitset over the indices of masks of those m with
+    |m & f| <= c, computed on first use by bit-sliced counting: within[j]
+    is the set of masks that hold at most j of the colors of f seen so
+    far, updated for each color x with has[x]. It takes O(|f| * c)
+    operations on len(masks)-bit integers, none per mask.
     """
-    if c < 0:
-        return 0
-    within = [(1 << count) - 1] * (c + 1)
-    seen = 0
-    while f:
-        low = f & -f
-        f ^= low
-        x = low.bit_length() - 1
-        if x >= len(has):
-            break    # no candidate holds x or any color above it
-        hx = has[x]
-        # within[j] with j >= seen is still every candidate.
-        for j in range(min(c, seen), 0, -1):
-            within[j] = within[j] & ~hx | within[j - 1] & hx
-        within[0] &= ~hx
-        seen += 1
-    return within[c]
 
+    __slots__ = ("masks", "has")
 
-class _AtMostMemo(dict):
-    """memo[f, c] is `_at_most(has, count, f, c)`, computed on first use."""
-
-    __slots__ = ("has", "count")
-
-    def __init__(self, has: list[int], count: int) -> None:
+    def __init__(self, used: int, size: int) -> None:
         super().__init__()
-        self.has, self.count = has, count
+        sets = []
+        for fresh in range(max(0, size - used), size + 1):
+            block = tuple(range(used, used + fresh))
+            olds = itertools.combinations(range(used), size - fresh)
+            sets += (old + block for old in olds)
+        sets.sort()
+        masks = self.masks = []
+        has = self.has = [0] * (used + size)
+        for j, s in enumerate(sets):
+            bit, m = 1 << j, 0
+            for x in s:
+                m |= 1 << x
+                has[x] |= bit
+            masks.append(m)
 
     def __missing__(self, key: tuple[int, int]) -> int:
-        bits = self[key] = _at_most(self.has, self.count, *key)
+        f, c = key
+        if c < 0:
+            return 0
+        has = self.has
+        within = [(1 << len(self.masks)) - 1] * (c + 1)
+        seen = 0
+        while f:
+            low = f & -f
+            f ^= low
+            x = low.bit_length() - 1
+            if x >= len(has):
+                break    # no mask holds x or any color above it
+            hx = has[x]
+            # within[j] with j >= seen is still every mask.
+            for j in range(min(c, seen), 0, -1):
+                within[j] = within[j] & ~hx | within[j - 1] & hx
+            within[0] &= ~hx
+            seen += 1
+        bits = self[key] = within[c]
         return bits
 
 
@@ -148,16 +135,13 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
     regime, a removable color, are pruned: the reduced witness lives on a
     smaller subgraph or assignment that is enumerated separately.
 
-    `candidates` is a memo for the whole decision that h belongs to. Under
-    (used, size) it holds the table (cands, has, memo): the
-    `_candidate_masks` list, its per-color membership bitsets (see
-    `_candidate_table`) and an `_AtMostMemo` whose memo[f, c] is the bitset
-    over the indices of cands of the masks m with |m & f| <= c, computed
-    once per table. Every candidate tried is one node, but a level tests its
-    candidates in bulk: on entry it ANDs the memoised bitsets into the set
-    of those that pass, the walk jumps from one of them to the next and
-    charges the meter for the candidates it skipped, and only i's own
-    removable-color test runs per candidate.
+    `candidates` maps (used, size) to the `_CandidateTable` of that level,
+    built once for the whole decision that h belongs to, so each bitset
+    table[f, c] is computed once per decision. Every candidate tried is one
+    node, but a level tests its candidates in bulk: on entry it ANDs the
+    table's bitsets into the set of those that pass, the walk jumps from
+    one of them to the next and charges the meter for the candidates it
+    skipped, and only i's own removable-color test runs per candidate.
     """
     n = h.n
     k, t = p.k, p.t
@@ -166,6 +150,9 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
         size_ranges = [range(k, min(h.degree(v), t) + 1) for v in range(n)]
     else:
         size_ranges = [range(k, k + 1)] * n
+    # In the intersection regime (t < k) every list has k colors, so no
+    # size exceeds k and every edge's sizes sum to 2k > t: the size tests
+    # below pass over that regime without naming it.
     edges = h.edges()
     nbrs = [h.neighbors(v) for v in range(n)]
     earlier = [[u for u in nbrs[v] if u < v] for v in range(n)]
@@ -197,20 +184,19 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
         size = sizes[i]
         table = candidates.get((used, size))
         if table is None:
-            cands, has = _candidate_table(used, size)
-            table = candidates[used, size] = cands, has, _AtMostMemo(has, len(cands))
-        cands, _, memo = table
+            table = candidates[used, size] = _CandidateTable(used, size)
+        cands = table.masks
         dead = [cands, 0, 0, used, None]
         alive = (1 << len(cands)) - 1
         # |m & f| <= c holds for every m when c >= |m| or c >= |f|, and
-        # for none when c < 0; otherwise memo[f, c] holds the m it does.
+        # for none when c < 0; otherwise table[f, c] holds the m it does.
         for u in earlier[i]:
             width = sizes[u]
             c = size + width - t if union else t
             if c < 0:
                 return dead
             if c < size and c < width:
-                alive &= memo[masks[u], c]
+                alive &= table[masks[u], c]
                 if not alive:
                     return dead
         need, lists = 0, None
@@ -221,12 +207,12 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
                     cover |= masks[u]
                 off = ~cover & ((1 << used + size) - 1)
                 if off:
-                    alive &= memo[off, 0]
-                if union and size > k:
+                    alive &= table[off, 0]
+                if size > k:
                     lists = [masks[u] for u in others]
                 continue
             mw = masks[w]
-            if not (union and sizes[w] > k):
+            if sizes[w] <= k:
                 for u in others:
                     cover |= masks[u]
                 need |= mw & ~cover
@@ -246,16 +232,16 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
                 while c >= 0 and bits:
                     low = bits & -bits
                     bits ^= low
-                    alive &= ~memo[mw ^ low, c]
+                    alive &= ~table[mw ^ low, c]
         if need:    # m holds all of need
             c = need.bit_count() - 1
             if c >= size:    # no m holds it all
                 return dead
-            alive &= ~memo[need, c]
+            alive &= ~table[need, c]
         return [cands, alive, 0, used, lists]
 
     for sizes in itertools.product(*size_ranges):
-        if union and any(sizes[u] + sizes[v] < t for u, v in edges):
+        if any(sizes[u] + sizes[v] < t for u, v in edges):
             continue
         # A depth-first walk without recursion: levels[i] is what enter()
         # gave vertex i. Entries of masks past the top level are stale, but
@@ -367,7 +353,7 @@ def decide_choosable(
     meter = Meter(limits)
     core_ids = greedy_kernel(g, p.k).kernel_vertices
     tested = solves = 0
-    candidates: dict[tuple[int, int], tuple[list[int], list[int], _AtMostMemo]] = {}
+    candidates: dict[tuple[int, int], _CandidateTable] = {}
     try:
         for size in range(len(core_ids), 0, -1):
             for subset in itertools.combinations(core_ids, size):

@@ -358,14 +358,20 @@ def test_enumeration_matches_reference():
 
 
 # Dense graphs at (3,5) whose lists reach size > k, so the trimmed-list and
-# need terms filter levels, cut at 200,000 nodes.
-DENSE_CASES = [complete_graph(5), icosahedron_graph(), complete_bipartite_graph(4, 4)]
+# need terms filter levels, cut at 200,000 nodes; and K5 in the intersection
+# regime, where every list has k colors, enumerated to its end (472,728
+# nodes), as (graph, params, max_nodes).
+DENSE_CASES = [
+    (complete_graph(5), SeparationParams(3, 5), 200_000),
+    (icosahedron_graph(), SeparationParams(3, 5), 200_000),
+    (complete_bipartite_graph(4, 4), SeparationParams(3, 5), 200_000),
+    (complete_graph(5), SeparationParams(3, 2), 500_000),
+]
 
 
 def dense_enumeration(enumerate_on):
-    """`enumeration_record` of each of DENSE_CASES at (3,5)."""
-    p = SeparationParams(3, 5)
-    return [enumeration_record(enumerate_on, g, p, 200_000) for g in DENSE_CASES]
+    """`enumeration_record` of each of DENSE_CASES."""
+    return [enumeration_record(enumerate_on, *case) for case in DENSE_CASES]
 
 
 def test_enumeration_matches_reference_on_dense_graphs():
@@ -378,46 +384,46 @@ def test_enumeration_matches_reference_on_dense_graphs():
 
 
 def test_memoised_bitsets_match_their_definition():
-    """Each memo entry memo[f, c] of a (cands, has, memo) table is the
-    bitset of the cands m with |m & f| <= c, whatever else that table's
-    memo holds for the same f."""
+    """Each entry table[f, c] of a `_CandidateTable` is the bitset of its
+    masks m with |m & f| <= c, whatever else that table holds for the
+    same f."""
     shared = {}
     dense_enumeration(
         lambda h, p, meter: choosability._tight_assignments(h, p, meter, shared)
     )
     entries = 0
-    for (used, size), (cands, has, memo) in shared.items():
-        assert cands == choosability._candidate_masks(used, size)
-        for (f, c), bits in memo.items():
-            assert bits == choosability._at_most(has, len(cands), f, c)
+    for (used, size), table in shared.items():
+        fresh = choosability._CandidateTable(used, size)
+        assert table.masks == fresh.masks
+        for (f, c), bits in table.items():
+            assert bits == fresh[f, c]
             assert bits == sum(
-                1 << j for j, m in enumerate(cands) if (m & f).bit_count() <= c
+                1 << j for j, m in enumerate(fresh.masks) if (m & f).bit_count() <= c
             )
             entries += 1
     assert entries
-    assert {c for table in shared.values() for _, c in table[2]} - {0}
+    assert {c for table in shared.values() for _, c in table} - {0}
 
 
-def test_candidate_masks_match_reference_sets():
+def test_table_masks_match_reference_sets():
     for used in range(6):
         for size in range(5):
             expected = reference_candidate_sets(used, size)
-            assert choosability._candidate_masks(used, size) == [
+            assert choosability._CandidateTable(used, size).masks == [
                 sum(1 << c for c in cols) for cols in expected
             ]
 
 
-def test_at_most_matches_popcount():
+def test_table_counts_match_popcount():
     for used in range(7):
         for size in range(6):
-            cands, has = choosability._candidate_table(used, size)
-            assert cands == choosability._candidate_masks(used, size)
+            table = choosability._CandidateTable(used, size)
             # f also takes the color just past every candidate's.
             for f in range(1 << used + size + 1):
-                counts = [(m & f).bit_count() for m in cands]
+                counts = [(m & f).bit_count() for m in table.masks]
                 for c in range(-1, size + 2):
                     expected = sum(1 << j for j, n in enumerate(counts) if n <= c)
-                    assert choosability._at_most(has, len(cands), f, c) == expected
+                    assert table[f, c] == expected    # each key asked once
 
 
 def test_decisions_match_reference_enumeration(monkeypatch):

@@ -270,11 +270,13 @@ def scanned_charge_checks(k: int, t: int, c: Fraction):
     """(test, degree range) for each charge check that covers a range."""
     c_ceil = math.ceil(c)
     receivers = range(k, c_ceil)
+    rate = Fraction(2 * k, t + 1)
     return [
         (lambda d: d + d * Fraction(c - d, d) == c, receivers),
         (lambda d: t + 1 - d > c, receivers),
         (lambda d: 2 * (t + 1 - d) * d - (t + 1) * c >= 0,
          range(c_ceil, t + 1 - k)),
+        (lambda d: d * rate >= c, range(t + 1 - k, t + 1 - k + 41)),
     ]
 
 
