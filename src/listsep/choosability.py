@@ -154,7 +154,7 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
     # size exceeds k and every edge's sizes sum to 2k > t: the size tests
     # below pass over that regime without naming it.
     edges = h.edges()
-    nbrs = [h.neighbors(v) for v in range(n)]
+    nbrs = h.adjacency
     earlier = [[u for u in nbrs[v] if u < v] for v in range(n)]
     # checks[i]: (w, w's neighbors but i) for each w that is ready once i
     # is assigned: its whole neighborhood is then assigned.

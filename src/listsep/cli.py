@@ -85,12 +85,8 @@ def _int_error(tokens: list[str], what: str, text: str) -> str:
 def _content_lines(path: str) -> list[tuple[int, str]]:
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
-    out = []
-    for i, line in enumerate(raw, start=1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            out.append((i, stripped))
-    return out
+    return [(i, text) for i, line in enumerate(raw, start=1)
+            if (text := line.strip()) and text[0] != "#"]
 
 
 def parse_graph_file(path: str) -> Graph:

@@ -57,7 +57,12 @@ class Graph:
             m += 1
         self.n = n
         self.m = m
-        self._nbrs = tuple(tuple(sorted(s)) for s in adj)
+        self._nbrs = tuple(map(tuple, map(sorted, adj)))
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Every vertex's sorted neighbor tuple, indexed by vertex id."""
+        return self._nbrs
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):

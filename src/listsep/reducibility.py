@@ -38,15 +38,24 @@ def _require_union_regime(p: SeparationParams) -> None:
 def find_reducible_edges(
     g: Graph, p: SeparationParams
 ) -> tuple[ReducibleEdge, ...]:
-    """All edges uv with d(u) + d(v) <= t + min(|N(u) & N(v)|, 2)."""
+    """All edges uv with d(u) + d(v) <= t + min(|N(u) & N(v)|, 2).
+
+    The edges come in the order of ``g.edges()``. No common-neighbor count
+    brings a degree sum above t + 2 under the bound, so only the edges at
+    or below it have their neighborhoods intersected.
+    """
     _require_union_regime(p)
-    nbr_sets = [set(g.neighbors(v)) for v in range(g.n)]
+    nbrs = g.adjacency
+    degree = list(map(len, nbrs))
     found = []
-    for u, v in g.edges():
-        a = len(nbr_sets[u] & nbr_sets[v])
-        dsum = g.degree(u) + g.degree(v)
-        if dsum <= p.t + min(a, 2):
-            found.append(ReducibleEdge(u, v, min(a, 2), a, dsum))
+    for u, nu in enumerate(nbrs):
+        room = p.t + 2 - degree[u]   # the largest d(v) that can still pass
+        for v in nu:
+            if v > u and degree[v] <= room:
+                a = len(set(nu).intersection(nbrs[v]))
+                dsum = degree[u] + degree[v]
+                if dsum <= p.t + min(a, 2):
+                    found.append(ReducibleEdge(u, v, min(a, 2), a, dsum))
     return tuple(found)
 
 

@@ -74,7 +74,7 @@ class _Search:
 
     def __init__(self, g: Graph, cand: list[int], meter: Meter):
         """Search g with `cand`, one nonempty candidate set per vertex."""
-        self.nbrs = nbrs = [g.neighbors(v) for v in range(g.n)]
+        self.nbrs = nbrs = g.adjacency
         self.cand = cand
         self.color = [-1] * g.n
         self.deg = deg = [INF if c & (c - 1) == 0 else len(nb) or 1

@@ -93,6 +93,34 @@ def test_parse_graph_rejects(tmp_path, content, fragment):
     assert main(["mad", path]) == EXIT_USAGE
 
 
+# Blank and comment lines are skipped wherever they are, and a line ends at
+# \n or \r\n.
+LOOSE_GRAPH = "  # path\r\n \t \r\n3 2\r\n\t# edges\r\n0 1\r\n   \r\n  1 2  \r\n"
+LOOSE_LISTS = "  # lists\r\n \t \r\n0: 1 2\r\n\t# more\r\n   \r\n 1: 3 \r\n"
+
+
+def test_content_lines_are_read_loosely(tmp_path):
+    assert parse_graph_file(write(tmp_path, "p3.g", LOOSE_GRAPH)) == path_graph(3)
+    lists, names = parse_lists_file(write(tmp_path, "p3.l", LOOSE_LISTS))
+    assert (lists.colors(0), lists.colors(1), names) == ((0, 1), (2,), (1, 2, 3))
+
+
+@pytest.mark.parametrize("parse,content,line,fragment", [
+    # a comment must have a line of its own
+    (parse_graph_file, "3 2\n0 1 # note\n1 2\n", 2, "expected 'u v', got '0 1 # note'"),
+    (parse_lists_file, "0: 1\n1: 2 # note\n", 2, "non-integer entry in '1: 2 # note'"),
+    # the first faulty line is reported, whatever comes after it
+    (parse_graph_file, "3 2\n0 5\nx y\n", 2, "edge (0,5) out of range for n=3"),
+    (parse_graph_file, "3 3\n0 1 2\n0 1\n1 0\n", 2, "expected 'u v', got '0 1 2'"),
+    (parse_graph_file, "3 3\n0 1\n1 0\n0 x\n", 3, "duplicate edge (1,0)"),
+])
+def test_parse_reports_the_first_faulty_line(tmp_path, parse, content, line, fragment):
+    path = write(tmp_path, "bad.txt", content)
+    with pytest.raises(ParseError) as err:
+        parse(path)
+    assert str(err.value) == f"{path}:{line}: {fragment}"
+
+
 def test_parse_lists_file(tmp_path):
     path = write(tmp_path, "lists.txt", "0: 1 2\n1: 3\n")
     lists, names = parse_lists_file(path)

@@ -51,6 +51,7 @@ def test_degree_sum_is_twice_edge_count():
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 9))
         assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
+        assert g.adjacency == tuple(g.neighbors(v) for v in range(g.n))
 
 
 def test_common_neighbors():

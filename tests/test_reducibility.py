@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -58,6 +59,78 @@ def test_reducible_edges_invariant_under_relabeling():
         (min(perm[u], perm[v]), max(perm[u], perm[v])) for (u, v) in base
     }
     assert {(e.u, e.v) for e in find_reducible_edges(g2, p)} == mapped
+
+
+def reference_reducible_edges(
+    g: Graph, p: SeparationParams
+) -> list[tuple[int, int, int, int, int]]:
+    """The reducible edges by their definition, checked on every edge."""
+    found = []
+    for u, v in g.edges():
+        a = g.common_neighbor_count(u, v)
+        dsum = g.degree(u) + g.degree(v)
+        if dsum <= p.t + min(a, 2):
+            found.append((u, v, min(a, 2), a, dsum))
+    return found
+
+
+def scanned(g: Graph, p: SeparationParams) -> list[tuple[int, int, int, int, int]]:
+    return [astuple(e) for e in find_reducible_edges(g, p)]
+
+
+def edge_beside_the_cut(t: int, common: int, dsum: int) -> Graph:
+    """Edge 01 with `common` common neighbors and d(0) + d(1) = dsum.
+
+    The common neighbors are 2, 3, ...; vertex 0 gets leaves to reach the sum.
+    """
+    leaves = dsum - 2 - 2 * common
+    n = 2 + common + leaves
+    edges = [(0, 1)] + [(x, 2 + i) for i in range(common) for x in (0, 1)]
+    edges += [(0, 2 + common + i) for i in range(leaves)]
+    return Graph(n, edges)
+
+
+def test_scan_matches_definition_on_random_graphs():
+    rng = random.Random(1818)
+    nonempty = 0
+    for _ in range(400):
+        n = rng.randint(2, 30)
+        prob = rng.uniform(0.05, 0.9)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < prob])
+        for t in range(3, 20):
+            p = SeparationParams(3, t)
+            want = reference_reducible_edges(g, p)
+            assert scanned(g, p) == want
+            nonempty += bool(want)
+    assert nonempty > 3500
+
+
+def test_scan_matches_definition_on_structured_graphs():
+    grid = Graph(144, [(r * 12 + c, r * 12 + c + 1) for r in range(12) for c in range(11)]
+                 + [(r * 12 + c, r * 12 + c + 12) for r in range(11) for c in range(12)])
+    rng = random.Random(18)
+    tree = Graph(200, [(v, rng.randrange(v)) for v in range(1, 200)])
+    for g in (grid, tree, complete_graph(7), complete_graph(12)):
+        for t in range(3, 20):
+            p = SeparationParams(3, t)
+            assert scanned(g, p) == reference_reducible_edges(g, p)
+
+
+@pytest.mark.parametrize("t", range(6, 12))
+@pytest.mark.parametrize("common,above,passes", [
+    (1, 1, True),    # d(u) + d(v) = t + 1 <= t + min(1, 2)
+    (1, 2, False),   # d(u) + d(v) = t + 2 >  t + min(1, 2)
+    (2, 2, True),    # d(u) + d(v) = t + 2 <= t + min(2, 2)
+    (3, 2, True),    # the count is capped at 2
+    (3, 3, False),   # d(u) + d(v) = t + 3: past the scan's cut
+])
+def test_scan_beside_the_degree_sum_cut(t, common, above, passes):
+    p = SeparationParams(3, t)
+    g = edge_beside_the_cut(t, common, t + above)
+    want = (0, 1, min(common, 2), common, t + above)
+    assert (want in scanned(g, p)) == passes
+    assert scanned(g, p) == reference_reducible_edges(g, p)
 
 
 def test_edge_reduction_pass_on_easy_instance():
