@@ -42,17 +42,27 @@ def find_reducible_edges(
 
     The edges come in the order of ``g.edges()``. No common-neighbor count
     brings a degree sum above t + 2 under the bound, so only the edges at
-    or below it have their neighborhoods intersected.
+    or below it have their neighborhoods intersected. Each vertex's
+    neighbor set is built once, the first time one of those edges needs
+    it, and ``&`` walks the smaller of the two sets, so an edge costs at
+    most min(d(u), d(v)) beyond that.
     """
     _require_union_regime(p)
     nbrs = g.adjacency
     degree = list(map(len, nbrs))
+    sets: list[set[int] | None] = [None] * g.n
     found = []
     for u, nu in enumerate(nbrs):
         room = p.t + 2 - degree[u]   # the largest d(v) that can still pass
         for v in nu:
             if v > u and degree[v] <= room:
-                a = len(set(nu).intersection(nbrs[v]))
+                su = sets[u]
+                if su is None:
+                    su = sets[u] = set(nu)
+                sv = sets[v]
+                if sv is None:
+                    sv = sets[v] = set(nbrs[v])
+                a = len(su & sv)
                 dsum = degree[u] + degree[v]
                 if dsum <= p.t + min(a, 2):
                     found.append(ReducibleEdge(u, v, min(a, 2), a, dsum))

@@ -105,6 +105,18 @@ def test_content_lines_are_read_loosely(tmp_path):
     assert (lists.colors(0), lists.colors(1), names) == ((0, 1), (2,), (1, 2, 3))
 
 
+@pytest.mark.parametrize("end", ["\r", "\f", "\x85", "\u2028"])
+def test_any_line_boundary_ends_a_line(tmp_path, end):
+    # The README promises every boundary str.splitlines knows, not just \n.
+    graph = end.join(["3 2", "0 1", "1 2"])
+    assert parse_graph_file(write(tmp_path, "p3.g", graph)) == path_graph(3)
+    lists, _ = parse_lists_file(write(tmp_path, "p3.l", end.join(["0: 1", "1: 2"])))
+    assert (lists.colors(0), lists.colors(1)) == ((0,), (1,))
+    with pytest.raises(ParseError) as err:
+        parse_graph_file(write(tmp_path, "bad.g", end.join(["3 2", "0 1", "x y"])))
+    assert str(err.value).startswith(f"{tmp_path / 'bad.g'}:3: ")
+
+
 @pytest.mark.parametrize("parse,content,line,fragment", [
     # a comment must have a line of its own
     (parse_graph_file, "3 2\n0 1 # note\n1 2\n", 2, "expected 'u v', got '0 1 # note'"),

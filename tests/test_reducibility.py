@@ -111,8 +111,9 @@ def test_scan_matches_definition_on_structured_graphs():
                  + [(r * 12 + c, r * 12 + c + 12) for r in range(11) for c in range(12)])
     rng = random.Random(18)
     tree = Graph(200, [(v, rng.randrange(v)) for v in range(1, 200)])
-    for g in (grid, tree, complete_graph(7), complete_graph(12)):
-        for t in range(3, 20):
+    stars = [Graph(40, [(hub, v) for v in range(40) if v != hub]) for hub in (0, 39)]
+    for g in (grid, tree, complete_graph(7), complete_graph(12), *stars):
+        for t in (*range(3, 20), 38, 39, 40):
             p = SeparationParams(3, t)
             assert scanned(g, p) == reference_reducible_edges(g, p)
 
