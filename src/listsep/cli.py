@@ -14,6 +14,7 @@ stored.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import traceback
 from fractions import Fraction
@@ -82,15 +83,51 @@ def _int_error(tokens: list[str], what: str, text: str) -> str:
     return f"non-integer {what} in {_echo(text)}"
 
 
-def _content_lines(path: str) -> list[tuple[int, str]]:
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    return [(i, text) for i, line in enumerate(raw, start=1)
-            if (text := line.strip()) and text[0] != "#"]
+        return fh.read()
+
+
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    return [(i, line) for i, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.strip()) and line[0] != "#"]
+
+
+# The plain form of a graph file, the one format_graph writes: every line,
+# the header too, is two unsigned ASCII decimals, one space and a newline.
+_PLAIN_GRAPH = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
 
 
 def parse_graph_file(path: str) -> Graph:
-    lines = _content_lines(path)
+    """The graph of a graph file.
+
+    A file in the plain form is read in bulk; any other file, and a plain
+    one that fails a check, is read line by line. Both build the same graph
+    and the bulk reader reports nothing, so every error comes from the line
+    reader, at its line.
+    """
+    text = _read_text(path)
+    if _PLAIN_GRAPH.fullmatch(text):
+        g = _graph_in_bulk(text)
+        if g is not None:
+            return g
+    return _graph_by_lines(path, text)
+
+
+def _graph_in_bulk(text: str) -> Graph | None:
+    """The graph of a plain graph file, or None if any check fails."""
+    try:
+        ids = list(map(int, text.split()))
+    except ValueError:
+        # int() refuses numbers past sys.get_int_max_str_digits() digits.
+        return None
+    if len(ids) != 2 * ids[1] + 2:
+        return None
+    return Graph.from_columns(ids[0], ids[2::2], ids[3::2])
+
+
+def _graph_by_lines(path: str, text: str) -> Graph:
+    lines = _content_lines(text)
     if not lines:
         raise ParseError(path, 1, "missing 'n m' header")
     line_no, header = lines[0]
@@ -138,7 +175,7 @@ def parse_lists_file(
     and the order of the colors, so verdicts, node counts and witnesses
     (read through `names`) are those of the file's own colors.
     """
-    lines = _content_lines(path)
+    lines = _content_lines(_read_text(path))
     if not lines:
         raise ParseError(path, 1, "empty list file")
     if universe is not None and universe < 1:
@@ -357,14 +394,14 @@ def _normalized(text: str) -> list[str]:
 
 
 def _cmd_audit_tuples(args, out: _Out) -> int:
+    # Read first: a missing golden file is a usage error with nothing printed.
+    golden = _read_text(args.golden) if args.golden else None
     report = full_audit()
     for row in report.rows:
         print(row.line)
     out.emit("tuples", len(report.rows))
     ok = report.passed
-    if args.golden:
-        with open(args.golden, "r", encoding="utf-8") as fh:
-            golden = fh.read()
+    if golden is not None:
         matches = _normalized(golden) == _normalized(report.render())
         out.emit("golden_match", str(matches).lower())
         ok = ok and matches

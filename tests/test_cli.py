@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -29,7 +30,7 @@ from listsep.cli import (
     parse_lists_file,
 )
 from listsep.constructions import build_book, build_gadget35
-from listsep.graph import complete_graph, cycle_graph, path_graph
+from listsep.graph import MAX_VERTICES, complete_graph, cycle_graph, path_graph
 
 GOLDEN = str(Path(__file__).parent / "data" / "tuple_table_golden.txt")
 
@@ -131,6 +132,59 @@ def test_parse_reports_the_first_faulty_line(tmp_path, parse, content, line, fra
     with pytest.raises(ParseError) as err:
         parse(path)
     assert str(err.value) == f"{path}:{line}: {fragment}"
+
+
+def _plain_graph_text(rng: random.Random, fault: str) -> str:
+    """A random graph in the plain form, with one fault of the given kind."""
+    n = rng.randrange(2, 30)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [[str(u), str(v)][::rng.choice((1, -1))]
+             for u, v in rng.sample(pairs, rng.randrange(1, len(pairs) + 1))]
+    i = rng.randrange(len(edges))
+    if fault == "out-of-range":
+        edges[i][rng.randrange(2)] = str(n + rng.randrange(3))
+    elif fault == "self-loop":
+        edges[i][1] = edges[i][0]
+    elif fault in ("repeat", "reversed-repeat"):
+        copy = edges[i][::-1] if fault == "reversed-repeat" else edges[i]
+        edges.insert(rng.randrange(len(edges) + 1), copy)
+    elif fault == "5000-digit-id":
+        edges[i][rng.randrange(2)] = "1" * 5000
+    elif fault == "too-many-vertices":
+        n = MAX_VERTICES + 1
+    elif fault == "zero-edges":
+        edges = []
+    m = len(edges) + (rng.choice((1, -1)) if fault == "header-off-by-one" else 0)
+    return "".join(f"{u} {v}\n" for u, v in [(n, m), *edges])
+
+
+@pytest.mark.parametrize("fault", [
+    "none", "out-of-range", "self-loop", "repeat", "reversed-repeat",
+    "header-off-by-one", "too-many-vertices", "5000-digit-id", "zero-edges"])
+def test_bulk_reader_agrees_with_the_line_reader(tmp_path, fault):
+    for seed in range(20):
+        text = _plain_graph_text(random.Random(f"{fault}:{seed}"), fault)
+        assert listsep.cli._PLAIN_GRAPH.fullmatch(text)
+        path = write(tmp_path, f"{seed}.g", text)
+        outcomes = []
+        for parse in (parse_graph_file, lambda p: listsep.cli._graph_by_lines(p, text)):
+            try:
+                outcomes.append(parse(path))
+            except ParseError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], str) == (fault not in ("none", "zero-edges"))
+
+
+def test_only_plain_graph_files_skip_the_line_reader(tmp_path, monkeypatch):
+    def refuse(path, text):
+        raise AssertionError("line reader called")
+
+    monkeypatch.setattr(listsep.cli, "_graph_by_lines", refuse)
+    plain = format_graph(cycle_graph(5))
+    assert parse_graph_file(write(tmp_path, "c5.g", plain)) == cycle_graph(5)
+    with pytest.raises(AssertionError, match="line reader called"):
+        parse_graph_file(write(tmp_path, "c5c.g", "# a cycle\n" + plain))
 
 
 def test_parse_lists_file(tmp_path):
@@ -383,6 +437,13 @@ def test_audit_tuples_cli(capsys):
     out = capsys.readouterr().out
     assert out.count("fails (1)") == 77
     assert "PASS" in out
+
+
+def test_audit_tuples_reads_the_golden_file_first(tmp_path, capsys):
+    assert main(["audit-tuples", "--golden", str(tmp_path / "missing")]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "missing" in captured.err
 
 
 def test_audit_tuples_runs_the_integer_cross_check(capsys, monkeypatch):
