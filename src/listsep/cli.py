@@ -93,9 +93,12 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
             if (line := raw.strip()) and line[0] != "#"]
 
 
-# The plain form of a graph file, the one format_graph writes: every line,
-# the header too, is two unsigned ASCII decimals, one space and a newline.
-_PLAIN_GRAPH = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
+# A line of a graph file in the plain form, the one format_graph writes:
+# two unsigned ASCII decimals, one space and a newline (text mode reads \r\n
+# and a lone \r as \n). A file is plain when deleting its plain lines leaves
+# nothing; a fullmatch of (?:line)+ would keep backtracking state for every
+# line, about 200 bytes each.
+_PLAIN_LINE = re.compile(r"^[0-9]+ [0-9]+\n", re.MULTILINE)
 
 
 def parse_graph_file(path: str) -> Graph:
@@ -107,7 +110,7 @@ def parse_graph_file(path: str) -> Graph:
     reader, at its line.
     """
     text = _read_text(path)
-    if _PLAIN_GRAPH.fullmatch(text):
+    if text and not _PLAIN_LINE.sub("", text):
         g = _graph_in_bulk(text)
         if g is not None:
             return g
