@@ -63,7 +63,8 @@ class Graph:
 
     @classmethod
     def from_columns(cls, n: int, us: list[int], vs: list[int]) -> Graph | None:
-        """Graph(n, zip(us, vs)), or None where that would raise.
+        """Graph(n, zip(us, vs)), or None where that would raise or where
+        the columns differ in length.
 
         The checks read whole columns: ranges by min and max, then the
         degree sum of the neighbor sets, which falls short of 2m exactly

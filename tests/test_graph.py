@@ -42,9 +42,10 @@ def test_construction_rejects_bad_edges():
     (3, [0], [0]), (3, [0, 2], [2, 2]),          # self-loops
     (3, [0, 1], [1, 0]), (3, [0, 0], [1, 1]),    # repeats
     (3, [0], [3]), (3, [-1], [0]),               # out of range
-    (3, [0], [1, 2]), (-1, [], []), (MAX_VERTICES + 1, [], []),
+    (-1, [], []), (MAX_VERTICES + 1, [], []),    # vertex count
+    (3, [0], [1, 2]),                            # columns of unequal length
 ])
-def test_from_columns_refuses_what_the_constructor_refuses(n, us, vs):
+def test_from_columns_refuses_bad_columns(n, us, vs):
     assert Graph.from_columns(n, us, vs) is None
 
 
