@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .assignments import (
     CheckResult,
@@ -64,16 +65,21 @@ class _CandidateTable(dict):
     """The canonical color sets of `size` colors with `used` colors taken:
     any old colors plus a block of consecutive fresh ones. `masks` holds
     them as bitmasks in the lexicographic order of their sorted color
-    tuples, and bit j of has[x] is set iff masks[j] holds color x.
+    tuples, bit j of has[x] is set iff masks[j] holds color x, and `full`
+    has a bit for every mask.
 
     table[f, c] is the bitset over the indices of masks of those m with
     |m & f| <= c, computed on first use by bit-sliced counting: within[j]
     is the set of masks that hold at most j of the colors of f seen so
     far, updated for each color x with has[x]. It takes O(|f| * c)
     operations on len(masks)-bit integers, none per mask.
+
+    `trimmed` is the enumerator's memo of unions of such bitsets:
+    trimmed[f, bits, c] is the OR of table[f ^ x, c] over the colors x of
+    bits, a subset of f.
     """
 
-    __slots__ = ("masks", "has")
+    __slots__ = ("masks", "has", "full", "trimmed")
 
     def __init__(self, used: int, size: int) -> None:
         super().__init__()
@@ -91,13 +97,15 @@ class _CandidateTable(dict):
                 m |= 1 << x
                 has[x] |= bit
             masks.append(m)
+        self.full = (1 << len(masks)) - 1
+        self.trimmed: dict[tuple[int, int, int], int] = {}
 
     def __missing__(self, key: tuple[int, int]) -> int:
         f, c = key
         if c < 0:
             return 0
         has = self.has
-        within = [(1 << len(self.masks)) - 1] * (c + 1)
+        within = [self.full] * (c + 1)
         seen = 0
         while f:
             low = f & -f
@@ -126,6 +134,18 @@ def _removable_colors(m: int, lists: list[int], t: int) -> int:
     return keep
 
 
+class _Plan(NamedTuple):
+    """The tests of one enumeration level under one size profile; see
+    `_tight_assignments`."""
+
+    size: int    # of the level's lists
+    needs: list[tuple[int, tuple[int, ...]]]    # need-only ready w, others
+    trims: list[tuple[int, tuple[int, ...], int | None]]    # (w, others, c)
+    cuts: list[tuple[int, int]]    # (earlier neighbor u, c)
+    own: tuple[int, ...] | None    # i's neighbors, if i is ready
+    removable: bool    # i is ready and its lists can hold a removable color
+
+
 def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: dict):
     """Yield (masks, used) for canonical tight assignments on h, where used
     is one past the largest color in masks.
@@ -142,6 +162,9 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
     table's bitsets into the set of those that pass, the walk jumps from
     one of them to the next and charges the meter for the candidates it
     skipped, and only i's own removable-color test runs per candidate.
+    Which tests a level runs depends only on the size profile, so each
+    profile plans its levels once; a level that no candidate passes is
+    charged all its candidates at once and never pushed.
     """
     n = h.n
     k, t = p.k, p.t
@@ -158,121 +181,165 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
     earlier = [[u for u in nbrs[v] if u < v] for v in range(n)]
     # checks[i]: (w, w's neighbors but i) for each w that is ready once i
     # is assigned: its whole neighborhood is then assigned.
-    checks: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+    checks: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
     for w in range(n):
         i = max(w, *nbrs[w])
-        checks[i].append((w, [u for u in nbrs[w] if u != i]))
+        checks[i].append((w, tuple(u for u in nbrs[w] if u != i)))
+
+    def plan(i: int, sizes: tuple[int, ...]) -> _Plan:
+        """The tests of vertex i's level under the profile `sizes`.
+
+        A ready w != i turns prunable iff m misses one of w's colors that
+        no other neighbor has, or m reaches t with w's list less a color
+        removable against the others. Such a trimmed list tr has
+        |tr| = sizes[w] - 1, and |tr | m| >= t iff |m & tr| <= c =
+        |tr| + size - t. Only a w with sizes[w] > k can have a removable
+        color, and with c < 0 no m reaches t with tr (c < 0 filters
+        nothing; it does not kill the level). So those w are need-only,
+        and the rest go to `trims` as (w, others, c), with c None when
+        every m reaches t with tr.
+
+        m meets an earlier neighbor list f iff |m & f| <= c (c = t in the
+        intersection regime, |m| + |f| - t in the union regime). `cuts`
+        holds the (u, c) for which that can fail: c < |m| and c < |f|. The
+        profile passed the edge test, so no c is negative.
+        """
+        size = sizes[i]
+        needs, trims = [], []
+        own, removable = None, False
+        for w, others in checks[i]:
+            width = sizes[w] - 1
+            c = width + size - t
+            if w == i:
+                own, removable = others, size > k
+            elif width < k or c < 0:
+                needs.append((w, others))
+            else:
+                trims.append((w, others, c if c < size and c < width else None))
+        cuts = []
+        for u in earlier[i]:
+            width = sizes[u]
+            c = size + width - t if union else t
+            if c < size and c < width:
+                cuts.append((u, c))
+        return _Plan(size, needs, trims, cuts, own, removable)
 
     masks = [0] * n
 
-    def enter(i: int, used: int) -> list:
-        """Vertex i's level with `used` colors taken below it, as
-        [cands, alive, pos, used, lists]: pos is the index of the next
-        candidate to try, and bit j of alive is set iff cands[pos + j]
-        passes every test but i's removable-color one.
-
-        m meets an earlier neighbor list f iff |m & f| <= cap (cap = t in
-        the intersection regime, |m| + |f| - t in the union regime). A
-        ready w != i turns prunable iff m misses one of w's colors that no
-        other neighbor has (`need` gathers them) or m reaches t with w's list
-        less a color removable against the others (a `trimmed` list tr,
-        |tr | m| >= t iff |m & tr| <= |tr| + size - t); i does iff m has a
-        color off its neighbors' union (tested once they are all fixed) or,
-        with `lists` set, a removable color. Each masks[u] below i holds
-        sizes[u] colors.
-        """
-        size = sizes[i]
+    def enter(level: tuple, used: int) -> tuple[list[int], int]:
+        """The candidates of a level planned as `level` with `used` colors
+        taken below it, and the bitset of those that pass every test but
+        the level's own removable-color one. Each masks[u] below the level
+        holds sizes[u] colors. The ready-vertex tests run first: they can
+        rule out every candidate before any bitset is read."""
+        size, needs, trims, cuts, own, _ = level
         table = candidates.get((used, size))
         if table is None:
             table = candidates[used, size] = _CandidateTable(used, size)
         cands = table.masks
-        dead = [cands, 0, 0, used, None]
-        alive = (1 << len(cands)) - 1
-        # |m & f| <= c holds for every m when c >= |m| or c >= |f|, and
-        # for none when c < 0; otherwise table[f, c] holds the m it does.
-        for u in earlier[i]:
-            width = sizes[u]
-            c = size + width - t if union else t
-            if c < 0:
-                return dead
-            if c < size and c < width:
-                alive &= table[masks[u], c]
-                if not alive:
-                    return dead
-        need, lists = 0, None
-        for w, others in checks[i]:
+        need = kill = 0    # kill: the candidates that a ready w != i prunes
+        for w, others in needs:
             cover = 0
-            if w == i:
-                for u in others:
-                    cover |= masks[u]
-                off = ~cover & ((1 << used + size) - 1)
-                if off:
-                    alive &= table[off, 0]
-                if size > k:
-                    lists = [masks[u] for u in others]
-                continue
+            for u in others:
+                cover |= masks[u]
+            need |= masks[w] & ~cover
+        for w, others, c in trims:
             mw = masks[w]
-            if sizes[w] <= k:
-                for u in others:
-                    cover |= masks[u]
-                need |= mw & ~cover
-                continue
-            bits = mw    # w's removable colors, as `_removable_colors` finds them
+            # w's removable colors, as `_removable_colors` finds them
+            bits, cover = mw, 0
             for u in others:
                 f = masks[u]
                 cover |= f
                 if (mw | f).bit_count() == t:
                     bits &= f
             need |= mw & ~cover
-            if bits:    # each trimmed list mw ^ low has sizes[w] - 1 colors
-                width = sizes[w] - 1
-                c = width + size - t
-                if c >= size or c >= width:    # every m reaches t with it
-                    return dead
-                while c >= 0 and bits:
-                    low = bits & -bits
-                    bits ^= low
-                    alive &= ~table[mw ^ low, c]
+            if bits:
+                if c is None:
+                    return cands, 0
+                key = mw, bits, c
+                cut = table.trimmed.get(key)
+                if cut is None:
+                    cut = 0
+                    while bits:
+                        low = bits & -bits
+                        bits ^= low
+                        cut |= table[mw ^ low, c]
+                    table.trimmed[key] = cut
+                kill |= cut
         if need:    # m holds all of need
             c = need.bit_count() - 1
             if c >= size:    # no m holds it all
-                return dead
-            alive &= ~table[need, c]
-        return [cands, alive, 0, used, lists]
+                return cands, 0
+            kill |= table[need, c]
+        alive = table.full
+        for u, c in cuts:
+            alive &= table[masks[u], c]
+            if not alive:
+                return cands, 0
+        if own is not None:    # m has no color off its neighbors' union
+            cover = 0
+            for u in own:
+                cover |= masks[u]
+            off = ~cover & ((1 << used + size) - 1)
+            if off:
+                alive &= table[off, 0]
+        return cands, alive & ~kill
 
     for sizes in itertools.product(*size_ranges):
         if any(sizes[u] + sizes[v] < t for u, v in edges):
             continue
-        # A depth-first walk without recursion: levels[i] is what enter()
-        # gave vertex i. Entries of masks past the top level are stale, but
-        # a level reads only the masks below it.
-        levels = [enter(0, 0)]
+        plans = [plan(i, sizes) for i in range(n)]
+        # A depth-first walk without recursion: levels[i] is vertex i's
+        # level, [cands, alive, pos, used, lists]: pos is the index of the
+        # next candidate to try, bit j of alive is set iff cands[pos + j]
+        # passes enter()'s tests, and lists, if set, holds the neighbor
+        # lists of i's removable-color test. Entries of masks past the top
+        # level are stale, but a level reads only the masks below it.
+        cands, alive = enter(plans[0], 0)
+        if not alive:
+            meter.spend(len(cands))
+            continue
+        # Vertex 0 has a neighbor above it, so it is not ready at its level.
+        levels = [[cands, alive, 0, 0, None]]
         while levels:
             i = len(levels) - 1
             level = levels[i]
             cands, alive, pos, before, lists = level
-            # The first passing m with no removable color is taken (break);
-            # an exhausted level is popped. The candidates from pos up to
-            # the next passing one are tried, as one charge.
+            # The candidates from pos up to the next passing one are tried.
+            # A passing m with no removable color is taken: it is yielded at
+            # the last vertex, else the walk descends into the next level
+            # unless no candidate passes there. An exhausted level is
+            # popped. Nodes are charged in one sum before each of these
+            # steps, which stops a budgeted run at the same node.
+            owed = 0
             while alive:
                 run = (alive & -alive).bit_length()
-                meter.spend(run)
+                owed += run
                 alive >>= run
                 pos += run
                 m = cands[pos - 1]
-                if not (lists and _removable_colors(m, lists, t)):
-                    break
+                if lists and _removable_colors(m, lists, t):
+                    continue
+                masks[i] = m
+                now = max(before, m.bit_length())
+                if i + 1 == n:
+                    meter.spend(owed)
+                    owed = 0
+                    yield tuple(masks), now
+                    continue
+                nxt = plans[i + 1]
+                child, child_alive = enter(nxt, now)
+                if not child_alive:
+                    owed += len(child)
+                    continue
+                meter.spend(owed)
+                level[1], level[2] = alive, pos
+                own = [masks[u] for u in nxt.own] if nxt.removable else None
+                levels.append([child, child_alive, 0, now, own])
+                break
             else:
-                meter.spend(len(cands) - pos)
+                meter.spend(owed + len(cands) - pos)
                 levels.pop()
-                continue
-            level[1], level[2] = alive, pos
-            masks[i] = m
-            now = max(before, m.bit_length())
-            if i + 1 == n:
-                yield tuple(masks), now
-            else:
-                levels.append(enter(i + 1, now))
 
 
 class _ColoringPool:

@@ -95,10 +95,12 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 # A line of a graph file in the plain form, the one format_graph writes:
 # two unsigned ASCII decimals, one space and a newline (text mode reads \r\n
-# and a lone \r as \n). A file is plain when deleting its plain lines leaves
-# nothing; a fullmatch of (?:line)+ would keep backtracking state for every
-# line, about 200 bytes each.
+# and a lone \r as \n). _NOT_PLAIN finds the start of the first line that is
+# not plain, so a search stops there, and a nonempty file is plain when it
+# finds none. A fullmatch of (?:line)+ would keep backtracking state for
+# every line, about 200 bytes each.
 _PLAIN_LINE = re.compile(r"^[0-9]+ [0-9]+\n", re.MULTILINE)
+_NOT_PLAIN = re.compile(rf"^(?!{_PLAIN_LINE.pattern[1:]}|\Z)", re.MULTILINE)
 
 
 def parse_graph_file(path: str) -> Graph:
@@ -110,7 +112,7 @@ def parse_graph_file(path: str) -> Graph:
     reader, at its line.
     """
     text = _read_text(path)
-    if text and not _PLAIN_LINE.sub("", text):
+    if text and not _NOT_PLAIN.search(text):
         g = _graph_in_bulk(text)
         if g is not None:
             return g

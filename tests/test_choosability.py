@@ -357,15 +357,22 @@ def test_enumeration_matches_reference():
     assert regimes == {"union", "intersection"}
 
 
+# The wheel W6: a 6-cycle on 0..5 and the hub 6, adjacent to all of them.
+# The hub is last, so each rim vertex is ready only at the hub's level.
+WHEEL6_HUB_LAST = Graph(7, [(v, (v + 1) % 6) for v in range(6)] + [(v, 6) for v in range(6)])
+
 # Dense graphs at (3,5) whose lists reach size > k, so the trimmed-list and
-# need terms filter levels, cut at 200,000 nodes; and K5 in the intersection
+# need terms filter levels, cut at 200,000 nodes; K5 in the intersection
 # regime, where every list has k colors, enumerated to its end (472,728
-# nodes), as (graph, params, max_nodes).
+# nodes); and W6 with its hub last at (3,6), whose rim lists have k colors,
+# so the hub's level tests need-only ready vertices, cut at 200,000 nodes;
+# as (graph, params, max_nodes).
 DENSE_CASES = [
     (complete_graph(5), SeparationParams(3, 5), 200_000),
     (icosahedron_graph(), SeparationParams(3, 5), 200_000),
     (complete_bipartite_graph(4, 4), SeparationParams(3, 5), 200_000),
     (complete_graph(5), SeparationParams(3, 2), 500_000),
+    (WHEEL6_HUB_LAST, SeparationParams(3, 6), 200_000),
 ]
 
 
@@ -386,12 +393,19 @@ def test_enumeration_matches_reference_on_dense_graphs():
 def test_memoised_bitsets_match_their_definition():
     """Each entry table[f, c] of a `_CandidateTable` is the bitset of its
     masks m with |m & f| <= c, whatever else that table holds for the
-    same f."""
+    same f, and each entry table.trimmed[f, bits, c] the bitset of those
+    with |m & (f ^ x)| <= c for some color x of bits."""
     shared = {}
-    dense_enumeration(
-        lambda h, p, meter: choosability._tight_assignments(h, p, meter, shared)
-    )
-    entries = 0
+
+    def enumerate_on(h, p, meter):
+        return choosability._tight_assignments(h, p, meter, shared)
+
+    dense_enumeration(enumerate_on)
+    # The dense cases stop before any profile with a list above k colors
+    # next to a ready vertex; these reach such profiles.
+    for h, p in seeded_cases(100, 2024):
+        enumeration_record(enumerate_on, h, p, 3_000)
+    entries = trimmed = 0
     for (used, size), table in shared.items():
         fresh = choosability._CandidateTable(used, size)
         assert table.masks == fresh.masks
@@ -401,7 +415,15 @@ def test_memoised_bitsets_match_their_definition():
                 1 << j for j, m in enumerate(fresh.masks) if (m & f).bit_count() <= c
             )
             entries += 1
-    assert entries
+        for (f, bits, c), cut in table.trimmed.items():
+            colors = [1 << x for x in range(bits.bit_length()) if bits >> x & 1]
+            assert colors and bits & f == bits
+            assert cut == sum(
+                1 << j for j, m in enumerate(fresh.masks)
+                if any((m & (f ^ x)).bit_count() <= c for x in colors)
+            )
+            trimmed += 1
+    assert entries and trimmed
     assert {c for table in shared.values() for _, c in table} - {0}
 
 

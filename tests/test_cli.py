@@ -190,6 +190,18 @@ def test_only_plain_graph_files_skip_the_line_reader(tmp_path, monkeypatch):
             parse_graph_file(write(tmp_path, name, text))
 
 
+def test_plain_check_stops_at_the_first_line_that_is_not_plain():
+    rng = random.Random(11)
+    for _ in range(5000):
+        text = "".join(rng.choice("09 \n#a\t-") for _ in range(rng.randint(1, 14)))
+        found = listsep.cli._NOT_PLAIN.search(text)
+        # The file is plain iff deleting its plain lines leaves nothing...
+        assert (found is None) == (not listsep.cli._PLAIN_LINE.sub("", text))
+        # ...and every line before the one found is plain.
+        if found is not None:
+            assert not listsep.cli._PLAIN_LINE.sub("", text[:found.start()])
+
+
 def test_parse_lists_file(tmp_path):
     path = write(tmp_path, "lists.txt", "0: 1 2\n1: 3\n")
     lists, names = parse_lists_file(path)
