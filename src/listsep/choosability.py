@@ -208,11 +208,12 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
         needs, trims = [], []
         own, removable = None, False
         for w, others in checks[i]:
-            width = sizes[w] - 1
-            c = width + size - t
             if w == i:
                 own, removable = others, size > k
-            elif width < k or c < 0:
+                continue
+            width = sizes[w] - 1
+            c = width + size - t
+            if width < k or c < 0:
                 needs.append((w, others))
             else:
                 trims.append((w, others, c if c < size and c < width else None))
@@ -226,7 +227,7 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
 
     masks = [0] * n
 
-    def enter(level: tuple, used: int) -> tuple[list[int], int]:
+    def enter(level: _Plan, used: int) -> tuple[list[int], int]:
         """The candidates of a level planned as `level` with `used` colors
         taken below it, and the bitset of those that pass every test but
         the level's own removable-color one. Each masks[u] below the level
@@ -309,8 +310,9 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
             # A passing m with no removable color is taken: it is yielded at
             # the last vertex, else the walk descends into the next level
             # unless no candidate passes there. An exhausted level is
-            # popped. Nodes are charged in one sum before each of these
-            # steps, which stops a budgeted run at the same node.
+            # popped. The nodes tried are charged in one sum before each of
+            # these steps; the meter stops a sum at the same node as a
+            # one-by-one count.
             owed = 0
             while alive:
                 run = (alive & -alive).bit_length()
@@ -334,8 +336,8 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
                     continue
                 meter.spend(owed)
                 level[1], level[2] = alive, pos
-                own = [masks[u] for u in nxt.own] if nxt.removable else None
-                levels.append([child, child_alive, 0, now, own])
+                lists = [masks[u] for u in nxt.own] if nxt.removable else None
+                levels.append([child, child_alive, 0, now, lists])
                 break
             else:
                 meter.spend(owed + len(cands) - pos)
