@@ -359,7 +359,9 @@ def test_enumeration_matches_reference():
 
 # The wheel W6: a 6-cycle on 0..5 and the hub 6, adjacent to all of them.
 # The hub is last, so each rim vertex is ready only at the hub's level.
-WHEEL6_HUB_LAST = Graph(7, [(v, (v + 1) % 6) for v in range(6)] + [(v, 6) for v in range(6)])
+WHEEL6_HUB_LAST = Graph(
+    7, [(v, (v + 1) % 6) for v in range(6)] + [(v, 6) for v in range(6)]
+)
 
 # Dense graphs at (3,5) whose lists reach size > k, so the trimmed-list and
 # need terms filter levels, cut at 200,000 nodes; K5 in the intersection

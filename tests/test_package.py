@@ -24,7 +24,8 @@ REEXPORTS = {
               "icosahedron_graph", "induced_subgraph", "path_graph", "petersen_graph"],
     "reducibility": ["CRITICAL_FAULT", "HYPOTHESIS_NOT_MET", "PASS",
                      "EdgeReductionResult", "KernelResult", "check_edge_reduction",
-                     "find_reducible_edges", "greedy_kernel", "run_edge_reduction_suite"],
+                     "find_reducible_edges", "greedy_kernel",
+                     "run_edge_reduction_suite"],
     "solver": ["SAT", "UNSAT", "SolveResult", "solve", "solve_with_precolor"],
     "sparsity": ["ChargeReport", "MadResult", "mad_bruteforce", "mad_exact",
                  "verify_charge_algebra"],
