@@ -385,6 +385,9 @@ def _cmd_find_reducible(args, out: _Out) -> int:
 
 
 def _cmd_kernel(args, out: _Out) -> int:
+    # peel accepts any k, but below 1 its "kernel" certifies nothing.
+    if args.k < 1:
+        raise ValueError("k must be at least 1")
     g = parse_graph_file(args.graph)
     result = greedy_kernel(g, args.k)
     out.emit("kernel_size", len(result.kernel_vertices))

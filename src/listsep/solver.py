@@ -28,6 +28,20 @@ book(3,7) of the constructions in 155 nodes, book(4,7) in 340 and the
 47-vertex gadget in 84, also on each of 30 random relabelings of its
 vertices.
 
+Picking the next vertex costs O(log n) while the search moves forward. A
+lazy min-heap of (key, vertex) entries is fed from the undo trail: each pick
+pushes the current key of every uncolored vertex the trail gained since the
+previous pick, and drops entries at the top that no longer match their
+vertex's key. A pick scans all n keys instead when the search has unwound
+below the previous pick, which leaves entries missing from the heap, or
+when the trail grew by more than n/16 entries since that pick, where the
+pushes would cost more than the scan; the heap is then rebuilt at the next
+pick that follows a small growth. Searches on fewer than 16 vertices always
+scan. Both ways pick the same vertex, so node counts and witnesses do not
+depend on which one ran. A 100,000-vertex path with lists {0,1,2} is
+colored in 100,000 nodes in about a second, where a scan at every pick took
+minutes.
+
 No randomization; verdicts and node counts are reproducible.
 """
 
@@ -35,6 +49,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Mapping
 
 from .assignments import Coloring, ListAssignment
@@ -210,6 +225,58 @@ class _Search:
         return False
 
 
+class _HeapSearch(_Search):
+    """A search whose picks on forward runs come from a lazy min-heap.
+
+    `heap` holds (key, vertex) entries: for each vertex uncolored at trail
+    length `seen`, the trail length at the previous pick, one that matches
+    its key at that point; None when it has to be rebuilt. Entries whose
+    key no longer matches are dropped when they reach the top. `seen` is
+    sys.maxsize before the first pick and once an unwind went below it.
+    `step` is n // 16, the most trail growth a pick feeds to the heap.
+    """
+
+    __slots__ = ("heap", "seen", "step")
+
+    def __init__(self, g: Graph, cand: list[int], meter: Meter):
+        super().__init__(g, cand, meter)
+        self.heap: list[tuple[float, int]] | None = None
+        self.seen = sys.maxsize    # no pick yet: the first one scans
+        self.step = g.n // 16
+
+    def pick(self) -> int:
+        """The vertex _Search.pick returns. The heap orders the same float
+        keys, and the (key, vertex) tuples break ties by the lowest id."""
+        trail = self.trail
+        end = len(trail)
+        grown = end - self.seen
+        self.seen = end
+        if not 0 <= grown <= self.step:
+            self.heap = None
+            return _Search.pick(self)
+        key = self.key
+        heap = self.heap
+        if heap is None:
+            heap = self.heap = [(k, v) for v, k in enumerate(key) if k != INF]
+            heapify(heap)
+        else:
+            for w, _ in trail[end - grown:]:
+                k = key[w]
+                if k != INF:
+                    heappush(heap, (k, w))
+        while heap:
+            k, v = heap[0]
+            if key[v] == k:
+                return v
+            heappop(heap)
+        return -1
+
+    def unwind(self, mark: int) -> None:
+        _Search.unwind(self, mark)
+        if mark < self.seen:
+            self.seen = sys.maxsize    # the heap lacks the restored keys
+
+
 def solve_with_precolor(
     g: Graph,
     lists: ListAssignment,
@@ -234,7 +301,8 @@ def solve_with_precolor(
     if meter is None:
         meter = Meter(Budget(max_nodes=sys.maxsize))
     start = meter.nodes
-    st = _Search(g, cand, meter)
+    # Below 16 vertices n // 16 is 0, so the heap would never be fed.
+    st = (_Search if g.n < 16 else _HeapSearch)(g, cand, meter)
     try:
         verdict = SAT if st.run() else UNSAT
     except BudgetExceeded:

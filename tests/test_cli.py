@@ -517,6 +517,16 @@ def test_kernel_machine_output(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize("command", [["kernel"], ["check-choosable", "--t", "3"]])
+def test_k_below_one_is_a_usage_error(tmp_path, capsys, command, k):
+    g = write(tmp_path, "p4.txt", format_graph(path_graph(4)))
+    assert main([command[0], g, "--k", k, *command[1:]]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k must be at least 1\n"
+
+
 def test_main_builds_no_parser(tmp_path, monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__

@@ -15,6 +15,7 @@ from listsep.budget import CLOCK_EVERY, RESOURCE_LIMIT, Budget, Meter
 from listsep.choosability import decide_choosable
 from listsep.constructions import build_book, build_gadget35
 from listsep.graph import (
+    MAX_VERTICES,
     Graph,
     complete_graph,
     icosahedron_graph,
@@ -23,6 +24,7 @@ from listsep.graph import (
 from listsep.solver import (
     SAT,
     UNSAT,
+    _HeapSearch,
     _Search,
     solve,
     solve_with_precolor,
@@ -237,6 +239,71 @@ def test_pick_matches_reference_scan(monkeypatch):
             assert (res.verdict == SAT) == oracle_decide(g, pinned)
 
 
+def relabeled(g: Graph, lists: ListAssignment, rng: random.Random):
+    """g and its lists with the vertices renamed by a random permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    sets = [None] * g.n
+    for v in range(g.n):
+        sets[perm[v]] = lists.colors(v)
+    edges = [(perm[u], perm[v]) for u, v in g.edges()]
+    return Graph(g.n, edges), ListAssignment.from_sets(sets)
+
+
+def test_heap_pick_matches_reference_scan(monkeypatch):
+    # From 16 vertices up, picks on forward runs come from a heap; the
+    # instances mix forward runs with backtracking, so both the feed from
+    # the trail and the rebuild after an unwind are compared.
+    rng = random.Random(2025)
+    cases = []
+    for shape in ("path", "tree", "grid", "gnp"):
+        for _ in range(12):
+            n = rng.randint(64, 600)
+            if shape == "path":
+                edges = [(v - 1, v) for v in range(1, n)]
+            elif shape == "tree":
+                edges = [(rng.randrange(v), v) for v in range(1, n)]
+            elif shape == "grid":
+                c = rng.randint(4, 24)
+                n -= n % c
+                edges = ([(v, v + 1) for v in range(n) if v % c < c - 1]
+                         + [(v, v + c) for v in range(n - c)])
+            else:
+                p = rng.uniform(2, 6) / (n - 1)
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if rng.random() < p]
+            universe = rng.randint(3, 5)
+            lists = ListAssignment.from_sets(
+                [rng.sample(range(universe), rng.randint(2, min(4, universe)))
+                 for _ in range(n)])
+            v = rng.randrange(n)
+            fixed = {v: rng.choice(lists.colors(v))} if rng.random() < 0.3 else {}
+            cases.append((Graph(n, edges), lists, fixed))
+    books = [build_book(k, t) for k, t in ((3, 6), (3, 7), (4, 7))]
+    for inst in books + [build_gadget35()] * 4:
+        cases.append((*relabeled(inst.graph, inst.lists, rng), {}))
+
+    def run_all():
+        return [solve_with_precolor(g, lists, fixed,
+                                    Meter(Budget(max_nodes=4 * g.n)))
+                for g, lists, fixed in cases]
+
+    mine = run_all()
+    monkeypatch.setattr(_HeapSearch, "pick", reference_pick)
+    assert run_all() == mine
+    sat = [(res.nodes_explored, g.n) for (g, _, _), res in zip(cases, mine)
+           if res.verdict == SAT]
+    assert any(nodes > n for nodes, n in sat)
+    assert any(nodes == n for nodes, n in sat)
+    assert {res.verdict for res in mine} == {SAT, UNSAT, RESOURCE_LIMIT}
+    for (g, lists, fixed), res in zip(cases, mine):
+        if res.verdict == SAT:
+            pinned = ListAssignment.from_sets(
+                [(fixed[v],) if v in fixed else lists.colors(v)
+                 for v in range(g.n)])
+            assert is_proper_coloring(g, pinned, res.witness)
+
+
 def test_book37_is_refuted_without_a_budget():
     inst = build_book(3, 7)
     res = solve(inst.graph, inst.lists)
@@ -288,6 +355,16 @@ def test_long_path_needs_no_recursion():
     lists = ListAssignment.from_sets([{0, 1, 2}] * n)
     res = solve(g, lists)
     assert res.verdict == SAT
+    assert is_proper_coloring(g, lists, res.witness)
+
+
+def test_longest_path_is_colored_without_backtracking():
+    # One node per vertex; a scan at every pick took minutes here.
+    n = MAX_VERTICES
+    g = path_graph(n)
+    lists = ListAssignment.from_sets([{0, 1, 2}] * n)
+    res = solve(g, lists)
+    assert (res.verdict, res.nodes_explored) == (SAT, n)
     assert is_proper_coloring(g, lists, res.witness)
 
 
