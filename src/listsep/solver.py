@@ -35,9 +35,10 @@ previous pick, and drops entries at the top that no longer match their
 vertex's key. A pick scans all n keys instead when the search has unwound
 below the previous pick, which leaves entries missing from the heap, or
 when the trail grew by more than n/16 entries since that pick, where the
-pushes would cost more than the scan; the heap is then rebuilt at the next
-pick that follows a small growth. Searches on fewer than 16 vertices always
-scan. Both ways pick the same vertex, so node counts and witnesses do not
+pushes would cost more than the scan. The heap is rebuilt only after eight
+picks in a row could have used it, about what a rebuild costs in scans, so
+a search that backtracks every few picks keeps to the scan. Searches on
+fewer than 16 vertices always scan. Both ways pick the same vertex, so node counts and witnesses do not
 depend on which one ran. A 100,000-vertex path with lists {0,1,2} is
 colored in 100,000 nodes in about a second, where a scan at every pick took
 minutes.
@@ -60,6 +61,9 @@ SAT = "SAT"
 UNSAT = "UNSAT"
 
 INF = float("inf")
+# Scans that cost about as much as building the heap from all n keys
+# (5 at 100 to 1,000 vertices, 11 at 100,000, measured with Python 3.11).
+REBUILD_SCANS = 8
 
 
 @dataclass(frozen=True)
@@ -230,19 +234,25 @@ class _HeapSearch(_Search):
 
     `heap` holds (key, vertex) entries: for each vertex uncolored at trail
     length `seen`, the trail length at the previous pick, one that matches
-    its key at that point; None when it has to be rebuilt. Entries whose
-    key no longer matches are dropped when they reach the top. `seen` is
-    sys.maxsize before the first pick and once an unwind went below it.
-    `step` is n // 16, the most trail growth a pick feeds to the heap.
+    its key at that point; entries whose key no longer matches are dropped
+    when they reach the top. It is None when it has to be rebuilt: at the
+    start, after an unwind below `seen`, which restores keys it lacks, and
+    after a pick whose trail growth exceeded `step`, n // 16, where the
+    pushes would cost more than a scan. `streak` counts the picks since
+    then that scanned on a smaller growth. A rebuild costs about
+    REBUILD_SCANS scans, so it waits for that many: a search that
+    backtracks every few picks keeps scanning, and one that stopped
+    backtracking pays the rebuild once.
     """
 
-    __slots__ = ("heap", "seen", "step")
+    __slots__ = ("heap", "seen", "step", "streak")
 
     def __init__(self, g: Graph, cand: list[int], meter: Meter):
         super().__init__(g, cand, meter)
         self.heap: list[tuple[float, int]] | None = None
-        self.seen = sys.maxsize    # no pick yet: the first one scans
+        self.seen = 0
         self.step = g.n // 16
+        self.streak = 0
 
     def pick(self) -> int:
         """The vertex _Search.pick returns. The heap orders the same float
@@ -251,30 +261,36 @@ class _HeapSearch(_Search):
         end = len(trail)
         grown = end - self.seen
         self.seen = end
-        if not 0 <= grown <= self.step:
-            self.heap = None
-            return _Search.pick(self)
-        key = self.key
         heap = self.heap
-        if heap is None:
-            heap = self.heap = [(k, v) for v, k in enumerate(key) if k != INF]
-            heapify(heap)
+        if grown > self.step:
+            self.heap = None
+            self.streak = 0
+        elif heap is not None or self.streak >= REBUILD_SCANS:
+            key = self.key
+            if heap is None:
+                heap = self.heap = [(k, v) for v, k in enumerate(key)
+                                    if k != INF]
+                heapify(heap)
+            else:
+                for w, _ in trail[end - grown:]:
+                    k = key[w]
+                    if k != INF:
+                        heappush(heap, (k, w))
+            while heap:
+                k, v = heap[0]
+                if key[v] == k:
+                    return v
+                heappop(heap)
+            return -1
         else:
-            for w, _ in trail[end - grown:]:
-                k = key[w]
-                if k != INF:
-                    heappush(heap, (k, w))
-        while heap:
-            k, v = heap[0]
-            if key[v] == k:
-                return v
-            heappop(heap)
-        return -1
+            self.streak += 1
+        return _Search.pick(self)
 
     def unwind(self, mark: int) -> None:
         _Search.unwind(self, mark)
         if mark < self.seen:
-            self.seen = sys.maxsize    # the heap lacks the restored keys
+            self.heap = None    # it lacks the keys this unwind restored
+            self.streak = 0
 
 
 def solve_with_precolor(

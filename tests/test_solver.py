@@ -251,11 +251,22 @@ def relabeled(g: Graph, lists: ListAssignment, rng: random.Random):
 
 
 def test_heap_pick_matches_reference_scan(monkeypatch):
-    # From 16 vertices up, picks on forward runs come from a heap; the
-    # instances mix forward runs with backtracking, so both the feed from
-    # the trail and the rebuild after an unwind are compared.
+    # From 16 vertices up, picks on forward runs come from a heap. The
+    # instances mix forward runs with backtracking. In the first shape
+    # every key is 1 and ties go to the lowest id, so a path whose lists
+    # alternate between two disjoint pairs is colored first, one vertex a
+    # pick, long enough for the heap to be built; the clique after it then
+    # fails while the heap is in use, so its unwinds must drop the heap.
     rng = random.Random(2025)
     cases = []
+    for _ in range(12):
+        n, m = rng.randint(128, 300), rng.randint(5, 8)
+        edges = [(v - 1, v) for v in range(1, n)]
+        edges += [(u, v) for u in range(n, n + m) for v in range(u + 1, n + m)]
+        lists = ListAssignment.from_sets(
+            [{0, 1} if v % 2 else {2, 3} for v in range(n)]
+            + [range(m - 1)] * m)
+        cases.append((Graph(n + m, edges), lists, {}))
     for shape in ("path", "tree", "grid", "gnp"):
         for _ in range(12):
             n = rng.randint(64, 600)
@@ -288,6 +299,14 @@ def test_heap_pick_matches_reference_scan(monkeypatch):
                                     Meter(Budget(max_nodes=4 * g.n)))
                 for g, lists, fixed in cases]
 
+    heap_pick = _HeapSearch.pick
+
+    def checked_pick(self):
+        v = heap_pick(self)
+        assert v == reference_pick(self)
+        return v
+
+    monkeypatch.setattr(_HeapSearch, "pick", checked_pick)
     mine = run_all()
     monkeypatch.setattr(_HeapSearch, "pick", reference_pick)
     assert run_all() == mine
