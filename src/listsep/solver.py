@@ -38,10 +38,10 @@ when the trail grew by more than n/16 entries since that pick, where the
 pushes would cost more than the scan. The heap is rebuilt only after eight
 picks in a row could have used it, about what a rebuild costs in scans, so
 a search that backtracks every few picks keeps to the scan. Searches on
-fewer than 16 vertices always scan. Both ways pick the same vertex, so node counts and witnesses do not
-depend on which one ran. A 100,000-vertex path with lists {0,1,2} is
-colored in 100,000 nodes in about a second, where a scan at every pick took
-minutes.
+fewer than 16 vertices always scan. Both ways pick the same vertex, so
+node counts and witnesses do not depend on which one ran. A 100,000-vertex
+path with lists {0,1,2} is colored in 100,000 nodes in about half a second,
+where a scan at every pick took minutes.
 
 No randomization; verdicts and node counts are reproducible.
 """
@@ -62,7 +62,8 @@ UNSAT = "UNSAT"
 
 INF = float("inf")
 # Scans that cost about as much as building the heap from all n keys
-# (5 at 100 to 1,000 vertices, 11 at 100,000, measured with Python 3.11).
+# (5 at 100 to 1,000 vertices, 11 at 100,000, measured with Python 3.11 on
+# a 2-CPU x86_64 machine).
 REBUILD_SCANS = 8
 
 
