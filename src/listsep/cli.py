@@ -113,22 +113,15 @@ def parse_graph_file(path: str) -> Graph:
     """
     text = _read_text(path)
     if text and not _NOT_PLAIN.search(text):
-        g = _graph_in_bulk(text)
-        if g is not None:
-            return g
+        try:
+            # int() refuses numbers past sys.get_int_max_str_digits() digits
+            # and Graph a bad edge or vertex count; the line reader says where.
+            ids = list(map(int, text.split()))
+            if len(ids) == 2 * ids[1] + 2:
+                return Graph(ids[0], zip(ids[2::2], ids[3::2]))
+        except ValueError:
+            pass
     return _graph_by_lines(path, text)
-
-
-def _graph_in_bulk(text: str) -> Graph | None:
-    """The graph of a plain graph file, or None if any check fails."""
-    try:
-        ids = list(map(int, text.split()))
-    except ValueError:
-        # int() refuses numbers past sys.get_int_max_str_digits() digits.
-        return None
-    if len(ids) != 2 * ids[1] + 2:
-        return None
-    return Graph.from_columns(ids[0], ids[2::2], ids[3::2])
 
 
 def _graph_by_lines(path: str, text: str) -> Graph:
@@ -385,9 +378,6 @@ def _cmd_find_reducible(args, out: _Out) -> int:
 
 
 def _cmd_kernel(args, out: _Out) -> int:
-    # peel accepts any k, but below 1 its "kernel" certifies nothing.
-    if args.k < 1:
-        raise ValueError("k must be at least 1")
     g = parse_graph_file(args.graph)
     result = greedy_kernel(g, args.k)
     out.emit("kernel_size", len(result.kernel_vertices))

@@ -25,9 +25,7 @@ class Graph:
 
     Each neighborhood is stored once, as a sorted tuple of vertex ids. The
     constructor checks each edge for range, self-loops and duplicates as it
-    reads it, so its error names the first bad edge; ``from_columns``
-    builds the same graph from two columns of ids, with checks on whole
-    columns, and only says whether they passed.
+    reads it, so its error names the first bad edge.
 
     Instances are immutable; ``delete_edge`` and ``induced_subgraph``
     return new graphs, so callers can hold G, G-u, G-v and G-uv side by
@@ -60,33 +58,6 @@ class Graph:
         self.n = n
         self.m = m
         self._nbrs = tuple(map(tuple, map(sorted, adj)))
-
-    @classmethod
-    def from_columns(cls, n: int, us: list[int], vs: list[int]) -> Graph | None:
-        """Graph(n, zip(us, vs)), or None where that would raise or where
-        the columns differ in length.
-
-        The checks read whole columns: ranges by min and max, then the
-        degree sum of the neighbor sets, which falls short of 2m exactly
-        when an edge is a self-loop (it adds one neighbor, not two) or a
-        repeat in either orientation (it adds none). None says only that
-        some check failed; Graph(...) names the first edge at fault.
-        """
-        if not 0 <= n <= MAX_VERTICES or len(us) != len(vs):
-            return None
-        if us and (min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n):
-            return None
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in zip(us, vs):
-            adj[u].add(v)
-            adj[v].add(u)
-        if sum(map(len, adj)) != 2 * len(us):
-            return None
-        g = cls.__new__(cls)
-        g.n = n
-        g.m = len(us)
-        g._nbrs = tuple(map(tuple, map(sorted, adj)))
-        return g
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

@@ -130,7 +130,10 @@ def greedy_kernel(g: Graph, k: int) -> KernelResult:
 
     An empty kernel certifies that every (k,t)-assignment of g is colorable:
     replaying the removal order backwards always leaves a free color.
+    Raises ValueError for k < 1, where the peel certifies nothing.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     order, core = peel(g, k)
     return KernelResult(core, order)
 

@@ -35,13 +35,13 @@ previous pick, and drops entries at the top that no longer match their
 vertex's key. A pick scans all n keys instead when the search has unwound
 below the previous pick, which leaves entries missing from the heap, or
 when the trail grew by more than n/16 entries since that pick, where the
-pushes would cost more than the scan. The heap is rebuilt only after eight
-picks in a row could have used it, about what a rebuild costs in scans, so
-a search that backtracks every few picks keeps to the scan. Searches on
-fewer than 16 vertices always scan. Both ways pick the same vertex, so
-node counts and witnesses do not depend on which one ran. A 100,000-vertex
-path with lists {0,1,2} is colored in 100,000 nodes in about half a second,
-where a scan at every pick took minutes.
+pushes would cost more than the scan; below 16 vertices every pick scans.
+The heap is rebuilt only after eight picks in a row could have used it,
+about what a rebuild costs in scans, so a search that backtracks every few
+picks keeps to the scan. Both ways pick the same vertex, so node counts and
+witnesses do not depend on which one ran. A 100,000-vertex path with lists
+{0,1,2} is colored in 100,000 nodes in about half a second, where a scan at
+every pick took minutes.
 
 No randomization; verdicts and node counts are reproducible.
 """
@@ -87,10 +87,22 @@ class _Search:
     a single color from the start, so that its key is 0. Propagation colors
     every other vertex the moment its candidates shrink to one color, so
     between decisions no other uncolored vertex is a singleton.
+
+    `heap` holds (key, vertex) entries: for each vertex uncolored at trail
+    length `seen`, the trail length at the previous pick, one that matches
+    its key at that point; entries whose key no longer matches are dropped
+    when they reach the top. It is None when it has to be rebuilt: at the
+    start, after an unwind below `seen`, which restores keys it lacks, and
+    after a pick whose trail growth exceeded `step`, n // 16, where the
+    pushes would cost more than a scan. `streak` counts the picks since
+    then that scanned on a smaller growth. A rebuild costs about
+    REBUILD_SCANS scans, so it waits for that many: a search that
+    backtracks every few picks keeps scanning, and one that stopped
+    backtracking pays the rebuild once.
     """
 
     __slots__ = ("nbrs", "cand", "color", "deg", "key", "depth", "trail",
-                 "meter")
+                 "meter", "heap", "seen", "step", "streak")
 
     def __init__(self, g: Graph, cand: list[int], meter: Meter):
         """Search g with `cand`, one nonempty candidate set per vertex."""
@@ -103,6 +115,10 @@ class _Search:
         self.depth = [0] * g.n    # decision depth that colored each vertex
         self.trail: list[tuple[int, int]] = []
         self.meter = meter
+        self.heap: list[tuple[float, int]] | None = None
+        self.seen = 0
+        self.step = g.n // 16
+        self.streak = 0
 
     def pick(self) -> int:
         """Uncolored vertex with the smallest |cand| / deg, lowest id on
@@ -113,10 +129,38 @@ class _Search:
         ones. But fractions a/b < c/d differ by at least 1/(b*d), that is by
         at least 1/(b*c) of c/d, which is more than two float spacings while
         counts times degrees stay below 2**51, so each rounds to its own
-        float: the keys order exactly as the fractions do.
+        float: the keys order exactly as the fractions do. The heap orders
+        the same keys, and the (key, vertex) tuples break ties by the
+        lowest id, so it picks what the scan picks.
         """
+        trail = self.trail
         key = self.key
-        best = min(key)
+        end = len(trail)
+        grown = end - self.seen
+        self.seen = end
+        heap = self.heap
+        if grown > self.step:
+            self.heap = None
+            self.streak = 0
+        elif heap is not None or self.streak >= REBUILD_SCANS:
+            if heap is None:
+                heap = self.heap = [(k, v) for v, k in enumerate(key)
+                                    if k != INF]
+                heapify(heap)
+            else:
+                for w, _ in trail[end - grown:]:
+                    k = key[w]
+                    if k != INF:
+                        heappush(heap, (k, w))
+            while heap:
+                k, v = heap[0]
+                if key[v] == k:
+                    return v
+                heappop(heap)
+            return -1
+        else:
+            self.streak += 1
+        best = min(key) if key else INF    # min() with default= is slower
         return -1 if best == INF else key.index(best)
 
     def assign(self, v: int, bit: int, d: int) -> bool:
@@ -165,6 +209,9 @@ class _Search:
                 color[w] = -1
             key[w] = cand[w].bit_count() / deg[w]
         del trail[mark:]
+        if mark < self.seen:
+            self.heap = None    # it lacks the keys this unwind restored
+            self.streak = 0
 
     def jump_target(self, v: int, limit: int) -> int:
         """Deepest decision, at most `limit`, that colored a neighbor of the
@@ -230,70 +277,6 @@ class _Search:
         return False
 
 
-class _HeapSearch(_Search):
-    """A search whose picks on forward runs come from a lazy min-heap.
-
-    `heap` holds (key, vertex) entries: for each vertex uncolored at trail
-    length `seen`, the trail length at the previous pick, one that matches
-    its key at that point; entries whose key no longer matches are dropped
-    when they reach the top. It is None when it has to be rebuilt: at the
-    start, after an unwind below `seen`, which restores keys it lacks, and
-    after a pick whose trail growth exceeded `step`, n // 16, where the
-    pushes would cost more than a scan. `streak` counts the picks since
-    then that scanned on a smaller growth. A rebuild costs about
-    REBUILD_SCANS scans, so it waits for that many: a search that
-    backtracks every few picks keeps scanning, and one that stopped
-    backtracking pays the rebuild once.
-    """
-
-    __slots__ = ("heap", "seen", "step", "streak")
-
-    def __init__(self, g: Graph, cand: list[int], meter: Meter):
-        super().__init__(g, cand, meter)
-        self.heap: list[tuple[float, int]] | None = None
-        self.seen = 0
-        self.step = g.n // 16
-        self.streak = 0
-
-    def pick(self) -> int:
-        """The vertex _Search.pick returns. The heap orders the same float
-        keys, and the (key, vertex) tuples break ties by the lowest id."""
-        trail = self.trail
-        end = len(trail)
-        grown = end - self.seen
-        self.seen = end
-        heap = self.heap
-        if grown > self.step:
-            self.heap = None
-            self.streak = 0
-        elif heap is not None or self.streak >= REBUILD_SCANS:
-            key = self.key
-            if heap is None:
-                heap = self.heap = [(k, v) for v, k in enumerate(key)
-                                    if k != INF]
-                heapify(heap)
-            else:
-                for w, _ in trail[end - grown:]:
-                    k = key[w]
-                    if k != INF:
-                        heappush(heap, (k, w))
-            while heap:
-                k, v = heap[0]
-                if key[v] == k:
-                    return v
-                heappop(heap)
-            return -1
-        else:
-            self.streak += 1
-        return _Search.pick(self)
-
-    def unwind(self, mark: int) -> None:
-        _Search.unwind(self, mark)
-        if mark < self.seen:
-            self.heap = None    # it lacks the keys this unwind restored
-            self.streak = 0
-
-
 def solve_with_precolor(
     g: Graph,
     lists: ListAssignment,
@@ -318,8 +301,7 @@ def solve_with_precolor(
     if meter is None:
         meter = Meter(Budget(max_nodes=sys.maxsize))
     start = meter.nodes
-    # Below 16 vertices n // 16 is 0, so the heap would never be fed.
-    st = (_Search if g.n < 16 else _HeapSearch)(g, cand, meter)
+    st = _Search(g, cand, meter)
     try:
         verdict = SAT if st.run() else UNSAT
     except BudgetExceeded:

@@ -38,28 +38,6 @@ def test_construction_rejects_bad_edges():
         Graph(MAX_VERTICES + 1)
 
 
-@pytest.mark.parametrize("n,us,vs", [
-    (3, [0], [0]), (3, [0, 2], [2, 2]),          # self-loops
-    (3, [0, 1], [1, 0]), (3, [0, 0], [1, 1]),    # repeats
-    (3, [0], [3]), (3, [-1], [0]),               # out of range
-    (-1, [], []), (MAX_VERTICES + 1, [], []),    # vertex count
-    (3, [0], [1, 2]),                            # columns of unequal length
-])
-def test_from_columns_refuses_bad_columns(n, us, vs):
-    assert Graph.from_columns(n, us, vs) is None
-
-
-def test_from_columns_builds_what_the_constructor_builds():
-    rng = random.Random(11)
-    for n in range(8):
-        g = random_graph(rng, n)
-        edges = [e[::rng.choice((1, -1))] for e in g.edges()]
-        rng.shuffle(edges)
-        us, vs = [u for u, _ in edges], [v for _, v in edges]
-        built = Graph.from_columns(n, us, vs)
-        assert (built, built.m, built.adjacency) == (g, g.m, g.adjacency)
-
-
 def test_degree_examples():
     k5 = complete_graph(5)
     assert all(k5.degree(v) == 4 for v in range(5))

@@ -232,6 +232,10 @@ def test_kernel_order_matches_rescan_reference():
                       if rng.random() < p])
         cases.append((g, rng.randint(0, 6)))
     for g, k in cases:
+        if k < 1:
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                greedy_kernel(g, k)
+            continue
         res = greedy_kernel(g, k)
         assert (res.order, res.kernel_vertices) == reference_kernel(g, k)
 

@@ -24,7 +24,7 @@ from listsep.graph import (
 from listsep.solver import (
     SAT,
     UNSAT,
-    _HeapSearch,
+    SolveResult,
     _Search,
     solve,
     solve_with_precolor,
@@ -207,7 +207,25 @@ def reference_pick(self) -> int:
     return best
 
 
+def checked_runs(monkeypatch, run_all):
+    """run_all() with every pick checked against reference_pick as it is
+    made; a second run with reference_pick in its place must agree."""
+    pick = _Search.pick
+
+    def checked_pick(self):
+        v = pick(self)
+        assert v == reference_pick(self)
+        return v
+
+    monkeypatch.setattr(_Search, "pick", checked_pick)
+    mine = run_all()
+    monkeypatch.setattr(_Search, "pick", reference_pick)
+    assert run_all() == mine
+    return mine
+
+
 def test_pick_matches_reference_scan(monkeypatch):
+    # Sizes run across 16 vertices, below which every pick scans.
     rng = random.Random(2024)
     cases = []
     for _ in range(3_000):
@@ -222,13 +240,13 @@ def test_pick_matches_reference_scan(monkeypatch):
         v = rng.randrange(n)
         fixed = {v: rng.choice(lists.colors(v))} if rng.random() < 0.3 else {}
         cases.append((Graph(n, edges), lists, fixed))
+    cases.append((Graph(0), ListAssignment([]), {}))
 
     def run_all():
         return [solve_with_precolor(g, lists, fixed) for g, lists, fixed in cases]
 
-    mine = run_all()
-    monkeypatch.setattr(_Search, "pick", reference_pick)
-    assert run_all() == mine
+    mine = checked_runs(monkeypatch, run_all)
+    assert mine[-1] == SolveResult(SAT, {}, 0)
     for (g, lists, fixed), res in zip(cases, mine):
         pinned = ListAssignment.from_sets(
             [(fixed[v],) if v in fixed else lists.colors(v) for v in range(g.n)]
@@ -299,17 +317,7 @@ def test_heap_pick_matches_reference_scan(monkeypatch):
                                     Meter(Budget(max_nodes=4 * g.n)))
                 for g, lists, fixed in cases]
 
-    heap_pick = _HeapSearch.pick
-
-    def checked_pick(self):
-        v = heap_pick(self)
-        assert v == reference_pick(self)
-        return v
-
-    monkeypatch.setattr(_HeapSearch, "pick", checked_pick)
-    mine = run_all()
-    monkeypatch.setattr(_HeapSearch, "pick", reference_pick)
-    assert run_all() == mine
+    mine = checked_runs(monkeypatch, run_all)
     sat = [(res.nodes_explored, g.n) for (g, _, _), res in zip(cases, mine)
            if res.verdict == SAT]
     assert any(nodes > n for nodes, n in sat)
