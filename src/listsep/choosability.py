@@ -157,11 +157,12 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
 
     `candidates` maps (used, size) to the `_CandidateTable` of that level,
     built once for the whole decision that h belongs to, so each bitset
-    table[f, c] is computed once per decision. Every candidate tried is one
-    node, but a level tests its candidates in bulk: on entry it ANDs the
-    table's bitsets into the set of those that pass, the walk jumps from
-    one of them to the next and charges the meter for the candidates it
-    skipped, and only i's own removable-color test runs per candidate.
+    table[f, c] is computed once per decision. Every size profile drawn and
+    every candidate tried is one node, but a level tests its candidates in
+    bulk: on entry it ANDs the table's bitsets into the set of those that
+    pass, the walk jumps from one of them to the next and charges the meter
+    for the candidates it skipped, and only i's own removable-color test
+    runs per candidate.
     Which tests a level runs depends only on the size profile, so each
     profile plans its levels once; a level that no candidate passes is
     charged all its candidates at once and never pushed.
@@ -287,6 +288,7 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
         return cands, alive & ~kill
 
     for sizes in itertools.product(*size_ranges):
+        meter.spend(1)    # each profile drawn is one node
         if any(sizes[u] + sizes[v] < t for u, v in edges):
             continue
         plans = [plan(i, sizes) for i in range(n)]
@@ -413,6 +415,8 @@ def decide_choosable(
     RESOURCE_LIMIT. The NOT_CHOOSABLE witness is the first one in the fixed
     enumeration order, so verdicts and witnesses are deterministic.
 
+    Each subset of the core drawn is one node, as is each size profile and
+    candidate list the enumeration draws, so a budget stops every walk.
     An assignment that one of the subgraph's pooled colorings colors is
     counted as tested and costs no node; every other one is solved, charged
     to the decision's meter, and a coloring the solve finds joins the pool.
@@ -426,6 +430,7 @@ def decide_choosable(
     try:
         for size in range(len(core_ids), 0, -1):
             for subset in itertools.combinations(core_ids, size):
+                meter.spend(1)    # each subset drawn is one node
                 h, kept = induced_subgraph(g, subset)
                 if min(h.degree(v) for v in range(h.n)) < p.k:
                     continue

@@ -17,6 +17,9 @@ DEFAULT_SEED = 1729
 # The separation parameters the randomized edge-reduction suite samples.
 SUITE_K = 3
 SUITE_T_VALUES = (5, 6, 7, 8)
+# The most vertices a suite instance may have: each instance draws its edges
+# from all vertex pairs, and its solves run without a budget.
+SUITE_MAX_N = 100
 
 
 @dataclass(frozen=True)
@@ -189,12 +192,15 @@ def run_edge_reduction_suite(
     Generates instances until `count` of them meet the hypothesis; each
     instance uses its own seed derived from (seed, index) so runs are
     reproducible and order-independent. Raises ValueError when `count` is
-    below 1 or `max_n` below 4, the fewest vertices an instance has.
+    below 1, or `max_n` is below 4, the fewest vertices an instance has, or
+    above SUITE_MAX_N.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if max_n < 4:
         raise ValueError(f"max_n must be at least 4, got {max_n}")
+    if max_n > SUITE_MAX_N:
+        raise ValueError(f"max_n must be at most {SUITE_MAX_N}, got {max_n}")
     met = 0
     passed = 0
     faults: list[int] = []

@@ -132,6 +132,18 @@ def test_budget_exhaustion_is_reported_not_coerced():
     assert verdict.witness is None
 
 
+def test_budget_stops_the_subset_and_profile_walks():
+    # No size profile of these passes the edge test, so the decision draws
+    # subsets and profiles only: 4,095 + 1 and 127 + 22,194 of them.
+    for g, p, nodes in ((cycle_graph(12), SeparationParams(2, 5), 4_096),
+                        (complete_graph(7), SeparationParams(3, 13), 22_321)):
+        verdict = decide_choosable(g, p)
+        assert (verdict.verdict, verdict.assignments_tested, verdict.nodes_used) == (
+            CHOOSABLE, 0, nodes)
+        verdict = decide_choosable(g, p, Budget(max_nodes=100))
+        assert (verdict.verdict, verdict.nodes_used) == (RESOURCE_LIMIT, 101)
+
+
 def test_clock_is_read_once_per_1024_nodes(monkeypatch):
     reads = []
 
@@ -141,7 +153,7 @@ def test_clock_is_read_once_per_1024_nodes(monkeypatch):
 
     monkeypatch.setattr(budget, "time", SimpleNamespace(monotonic=monotonic))
     p = SeparationParams(3, 5)
-    for g, max_nodes, expected in ((complete_bipartite_graph(3, 3), 10_000_000, 283),
+    for g, max_nodes, expected in ((complete_bipartite_graph(3, 3), 10_000_000, 284),
                                    (complete_graph(5), 100_000, 98)):
         reads.clear()
         verdict = decide_choosable(g, p, Budget(max_nodes, max_seconds=3600))
@@ -151,10 +163,10 @@ def test_clock_is_read_once_per_1024_nodes(monkeypatch):
 
 def test_metering_leaves_counts_of_runs_within_budget():
     g, p = complete_bipartite_graph(3, 3), SeparationParams(3, 5)
-    for limits in (Budget(), Budget(max_nodes=289_742, max_seconds=3600)):
+    for limits in (Budget(), Budget(max_nodes=289_806, max_seconds=3600)):
         verdict = decide_choosable(g, p, limits)
         assert verdict.verdict == CHOOSABLE
-        assert (verdict.assignments_tested, verdict.nodes_used) == (216, 289_742)
+        assert (verdict.assignments_tested, verdict.nodes_used) == (216, 289_806)
 
 
 def test_budgeted_counts_of_graphs_past_the_budget():
@@ -267,6 +279,7 @@ def reference_tight_assignments(h: Graph, p: SeparationParams, meter: Meter):
         return False
 
     for sizes in itertools.product(*size_ranges):
+        meter.spend(1)
         if union and any(sizes[u] + sizes[v] < t for u, v in edges):
             continue
         levels = [(iter(reference_candidate_sets(0, sizes[0])), 0)]
@@ -336,9 +349,9 @@ def enumeration_record(enumerate_on, h: Graph, p: SeparationParams, max_nodes: i
 # Small decisions to cut at every node count up to their end, as (graph,
 # params, nodes the whole decision takes).
 CUT_CASES = [
-    (complete_bipartite_graph(2, 4), SeparationParams(2, 3), 227),
-    (cycle_graph(5), SeparationParams(2, 2), 13),
-    (complete_graph(4), SeparationParams(3, 3), 19),
+    (complete_bipartite_graph(2, 4), SeparationParams(2, 3), 229),
+    (cycle_graph(5), SeparationParams(2, 2), 15),
+    (complete_graph(4), SeparationParams(3, 3), 21),
 ]
 
 
@@ -365,7 +378,7 @@ WHEEL6_HUB_LAST = Graph(
 
 # Dense graphs at (3,5) whose lists reach size > k, so the trimmed-list and
 # need terms filter levels, cut at 200,000 nodes; K5 in the intersection
-# regime, where every list has k colors, enumerated to its end (472,728
+# regime, where every list has k colors, enumerated to its end (472,729
 # nodes); and W6 with its hub last at (3,6), whose rim lists have k colors,
 # so the hub's level tests need-only ready vertices, cut at 200,000 nodes;
 # as (graph, params, max_nodes).
@@ -496,6 +509,7 @@ def reference_decide(g: Graph, p: SeparationParams, limits: Budget):
     try:
         for size in range(len(core_ids), 0, -1):
             for subset in itertools.combinations(core_ids, size):
+                meter.spend(1)
                 h, kept = induced_subgraph(g, subset)
                 if min(h.degree(v) for v in range(h.n)) < p.k:
                     continue

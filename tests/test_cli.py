@@ -483,14 +483,14 @@ def test_machine_output_is_stable(capsys, tmp_path):
     assert first == second
     # 17 tight assignments, of which a pooled coloring settled 9.
     assert first.splitlines() == [
-        "verdict=CHOOSABLE", "assignments_tested=17", "solves=8", "nodes=159"]
+        "verdict=CHOOSABLE", "assignments_tested=17", "solves=8", "nodes=175"]
     assert main(argv[2:]) == EXIT_OK
     assert "solves: 8" in capsys.readouterr().out.splitlines()
 
 
 def test_mad_and_sparse_and_kernel(tmp_path, capsys):
     k5 = write(tmp_path, "k5.txt", format_graph(
-        __import__("listsep").complete_graph(5)))
+        complete_graph(5)))
     assert main(["mad", k5]) == EXIT_OK
     assert "4" in capsys.readouterr().out
     assert main(["--format", "machine", "mad", k5]) == EXIT_OK
@@ -551,12 +551,14 @@ def test_find_reducible_cli(tmp_path, capsys):
 
 def test_suite_cli():
     assert main(["prop31-suite", "--count", "25"]) == EXIT_OK
+    assert main(["prop31-suite", "--count", "1", "--max-n", "100"]) == EXIT_OK
 
 
 @pytest.mark.parametrize("flags,message", [
     (["--count", "-3"], "count must be at least 1, got -3"),
     (["--count", "0"], "count must be at least 1, got 0"),
     (["--max-n", "3"], "max_n must be at least 4, got 3"),
+    (["--max-n", "101"], "max_n must be at most 100, got 101"),
 ])
 def test_suite_rejects_bad_input(capsys, flags, message):
     assert main(["prop31-suite", *flags]) == EXIT_USAGE
