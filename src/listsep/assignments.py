@@ -12,8 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .graph import Graph
 
-# A coloring maps vertex id -> chosen color. Partial colorings simply omit
-# vertices.
+# A coloring maps every vertex id to its chosen color.
 Coloring = dict
 
 

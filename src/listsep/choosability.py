@@ -425,15 +425,18 @@ def decide_choosable(
     """
     meter = Meter(limits)
     core_ids = greedy_kernel(g, p.k).kernel_vertices
+    nbrs = g.adjacency
     tested = solves = 0
     candidates: dict[tuple[int, int], _CandidateTable] = {}
     try:
         for size in range(len(core_ids), 0, -1):
             for subset in itertools.combinations(core_ids, size):
                 meter.spend(1)    # each subset drawn is one node
-                h, kept = induced_subgraph(g, subset)
-                if min(h.degree(v) for v in range(h.n)) < p.k:
+                # Only a subset of minimum degree >= k gets a subgraph.
+                inside = set(subset)
+                if any(len(inside.intersection(nbrs[v])) < p.k for v in subset):
                     continue
+                h, kept = induced_subgraph(g, subset)
                 pool = _ColoringPool()
                 for masks, used in _tight_assignments(h, p, meter, candidates):
                     tested += 1

@@ -3,11 +3,11 @@
 Depth-first search that always branches on the uncolored vertex with the
 smallest ratio of remaining candidate colors to static degree (dom/deg,
 Bessière and Régin, CP 1996), ties to the lowest id; vertices whose list is a
-single color from the start (precolored ones included) come first. Every
-assignment prunes neighbor candidate sets and immediately propagates vertices
-whose candidate set shrinks to a single color. The search runs in one loop
-over an explicit stack of decision frames with a single undo trail, so its
-depth is not bounded by Python's recursion limit.
+single color from the start come first, so a singleton list pins its vertex's
+color. Every assignment prunes neighbor candidate sets and immediately
+propagates vertices whose candidate set shrinks to a single color. The search
+runs in one loop over an explicit stack of decision frames with a single undo
+trail, so its depth is not bounded by Python's recursion limit.
 
 Failures backjump on the graph. When a decision runs out of colors, the
 uncolored component that contained its vertex just before the decision has
@@ -51,7 +51,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Mapping
 
 from .assignments import Coloring, ListAssignment
 from .budget import RESOURCE_LIMIT, Budget, BudgetExceeded, Meter
@@ -277,31 +276,21 @@ class _Search:
         return False
 
 
-def solve_with_precolor(
-    g: Graph,
-    lists: ListAssignment,
-    fixed: Mapping[int, int],
-    meter: Meter | None = None,
+def solve(
+    g: Graph, lists: ListAssignment, meter: Meter | None = None
 ) -> SolveResult:
-    """Decide existence of a proper list coloring extending `fixed`.
+    """Decide existence of a proper list coloring; SAT comes with a witness.
 
-    With a `meter`, every node is charged to it as it is made, and the
-    verdict is RESOURCE_LIMIT once its budget runs out. Raises ValueError if
-    a fixed color is not in the vertex's list.
+    A singleton list pins its vertex's color: the search colors it before
+    any decision. With a `meter`, every node is charged to it as it is made,
+    and the verdict is RESOURCE_LIMIT once its budget runs out.
     """
     if len(lists) != g.n:
         raise ValueError(f"assignment covers {len(lists)} vertices, graph has {g.n}")
-    cand = [lists.mask(v) for v in range(g.n)]
-    for v, c in fixed.items():
-        if not (0 <= v < g.n):
-            raise ValueError(f"fixed vertex {v} out of range")
-        if c < 0 or not (cand[v] >> c) & 1:
-            raise ValueError(f"fixed color {c} not in list of vertex {v}")
-        cand[v] = 1 << c
     if meter is None:
         meter = Meter(Budget(max_nodes=sys.maxsize))
     start = meter.nodes
-    st = _Search(g, cand, meter)
+    st = _Search(g, [lists.mask(v) for v in range(g.n)], meter)
     try:
         verdict = SAT if st.run() else UNSAT
     except BudgetExceeded:
@@ -310,10 +299,3 @@ def solve_with_precolor(
         {v: st.color[v] for v in range(g.n)} if verdict == SAT else None
     )
     return SolveResult(verdict, witness, meter.nodes - start)
-
-
-def solve(
-    g: Graph, lists: ListAssignment, meter: Meter | None = None
-) -> SolveResult:
-    """Decide existence of a proper list coloring; SAT comes with a witness."""
-    return solve_with_precolor(g, lists, {}, meter)

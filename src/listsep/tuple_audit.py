@@ -19,7 +19,9 @@ i.e. the left side is <= d(v) - 6 at the minimum degree (and hence at every
 larger degree, since the right side only grows). The audit is run in the
 failure direction because that is what rules every tuple out. Each row is
 also re-checked with integers only, every coefficient scaled by 10, and it
-fails (1) only when both paths say so.
+fails (1) only when both paths say so. The rational checks read the
+coefficients of (1) and (3) from INEQ1_COEFFS and INEQ3_COEFFS each time
+they run; the integer checks spell out their own.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 FAILS_INEQ1 = "FAILS_INEQ1"
 VIOLATES = "VIOLATES"
 
-# Coefficients of (1) on (d3, d3*, d4, d5); overridable for mutation tests.
+# Coefficients of (1) on (d3, d3*, d4, d5).
 INEQ1_COEFFS = (Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(1, 5))
 INEQ3_COEFFS = (Fraction(1), Fraction(1), Fraction(3, 2), Fraction(9, 5))
 
@@ -89,9 +91,7 @@ def enumerate_tuples() -> tuple[TupleRecord, ...]:
     return tuple(out)
 
 
-def audit_inequality1(
-    rec: TupleRecord, coeffs: tuple[Fraction, ...] = INEQ1_COEFFS
-) -> str:
+def audit_inequality1(rec: TupleRecord) -> str:
     """FAILS_INEQ1 iff (1) fails at the record's minimum degree.
 
     Failure at the minimum degree settles all admissible degrees: the left
@@ -100,7 +100,7 @@ def audit_inequality1(
     """
     if not satisfies_ineq3(*rec.counts):
         raise ValueError(f"tuple {rec.counts} does not satisfy (3)")
-    lhs = _dot(coeffs, rec.counts)
+    lhs = _dot(INEQ1_COEFFS, rec.counts)
     return FAILS_INEQ1 if lhs <= rec.min_degree - 6 else VIOLATES
 
 
@@ -136,15 +136,15 @@ class AuditReport:
         return "\n".join(r.line for r in self.rows)
 
 
-def full_audit(coeffs: tuple[Fraction, ...] = INEQ1_COEFFS) -> AuditReport:
+def full_audit() -> AuditReport:
     """Enumerate the tuple table and audit every record against (1).
 
-    A row is FAILS_INEQ1 only when the rational audit with `coeffs` and the
-    integer-only checks of (3) and of the failure of (1) all agree.
+    A row is FAILS_INEQ1 only when the rational audit with INEQ1_COEFFS and
+    the integer-only checks of (3) and of the failure of (1) all agree.
     """
     rows = []
     for rec in enumerate_tuples():
-        verdict = audit_inequality1(rec, coeffs)
+        verdict = audit_inequality1(rec)
         if not (satisfies_ineq3_scaled(*rec.counts) and fails_ineq1_scaled(rec)):
             verdict = VIOLATES
         rows.append(AuditRow(rec, verdict))

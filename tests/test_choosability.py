@@ -144,6 +144,21 @@ def test_budget_stops_the_subset_and_profile_walks():
         assert (verdict.verdict, verdict.nodes_used) == (RESOURCE_LIMIT, 101)
 
 
+def test_only_subsets_of_minimum_degree_k_get_a_subgraph(monkeypatch):
+    # Of the 4,095 subsets of C12 only the whole cycle has minimum degree 2;
+    # the others are drawn and charged but build no subgraph.
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return induced_subgraph(*args)
+
+    monkeypatch.setattr(choosability, "induced_subgraph", counted)
+    verdict = decide_choosable(cycle_graph(12), SeparationParams(2, 5))
+    assert (verdict.verdict, verdict.nodes_used) == (CHOOSABLE, 4_096)
+    assert len(calls) == 1
+
+
 def test_clock_is_read_once_per_1024_nodes(monkeypatch):
     reads = []
 

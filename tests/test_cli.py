@@ -570,3 +570,83 @@ def test_suite_rejects_bad_input(capsys, flags, message):
 def test_usage_errors():
     assert main(["no-such-command"]) == EXIT_USAGE
     assert main(["solve", "/nonexistent/graph", "/nonexistent/lists"]) == EXIT_USAGE
+
+
+# Tokens a hand-written file can carry where a number belongs.
+STRAY_TOKENS = ("x", "-1", "1.5", "+2", "0x1", "9" * 30, ":", "#", "1:")
+
+
+def damaged(rng: random.Random, lines: list[str]) -> str:
+    """lines as file text, with blank, comment and dropped lines, stray
+    tokens and \\r\\n line ends mixed in at random."""
+    out = []
+    for line in lines:
+        if rng.random() < 0.1:
+            out.append(rng.choice(("", "   ", "# note", "#")))
+        if rng.random() < 0.05:
+            tokens = line.split()
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(STRAY_TOKENS))
+            line = " ".join(tokens)
+        if rng.random() > 0.03:
+            out.append(line)
+    end = "\r\n" if rng.random() < 0.2 else "\n"
+    return end.join(out) + (end if rng.random() < 0.8 else "")
+
+
+def fuzz_graph_lines(rng: random.Random) -> tuple[int, list[str]]:
+    """A random graph file's lines, sometimes with a bad count, an
+    out-of-range id, a self-loop or a duplicate edge; and its n."""
+    n = rng.randint(0, 7)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < rng.choice((0.3, 0.6, 0.9))]
+    m = len(edges)
+    if rng.random() < 0.1:
+        n += rng.choice((-1, 1))
+    if rng.random() < 0.1:
+        m += rng.choice((-1, 1))
+    if edges and rng.random() < 0.15:
+        u, v = rng.choice(((-1, 0), (0, n), (n + 3, 1), (0, 0), edges[0][::-1]))
+        edges[rng.randrange(len(edges))] = (u, v)
+    return n, [f"{n} {m}"] + [f"{u} {v}" for u, v in edges]
+
+
+def fuzz_list_lines(rng: random.Random, n: int) -> list[str]:
+    """List lines for about n vertices, sometimes empty, negative or out of
+    range."""
+    lines = []
+    for v in range(max(0, n + rng.choice((0, 0, 0, -1, 1)))):
+        colors = rng.sample(range(8), rng.randint(0, 4) if rng.random() < 0.1
+                            else rng.randint(1, 4))
+        if rng.random() < 0.05:
+            colors.append(-rng.randint(1, 3))
+        lines.append(f"{v}: " + " ".join(map(str, colors)))
+    if rng.random() < 0.1:
+        lines.append(f"{rng.choice((-1, n, n + 2))}: 1")
+    if rng.random() < 0.3:
+        rng.shuffle(lines)
+    return lines
+
+
+def test_fuzzed_files_never_exit_4(tmp_path, capsys):
+    # Well-formed and malformed files through every command that reads them.
+    rng = random.Random("cli-fuzz")
+    graph, lists = str(tmp_path / "fuzz.g"), str(tmp_path / "fuzz.l")
+    for _ in range(300):
+        n, graph_lines = fuzz_graph_lines(rng)
+        Path(graph).write_text(damaged(rng, graph_lines), encoding="utf-8", newline="")
+        Path(lists).write_text(damaged(rng, fuzz_list_lines(rng, n)),
+                               encoding="utf-8", newline="")
+        k, t = str(rng.randint(0, 4)), str(rng.randint(-1, 8))
+        budget = ["--max-nodes", str(rng.choice((50, 2_000)))]
+        fmt = ["--format", rng.choice(("human", "machine"))]
+        for command in (["solve", graph, lists, *budget],
+                        ["verify-witness", graph, "--k", k, "--t", t, lists, *budget],
+                        ["check-choosable", graph, "--k", k, "--t", t, *budget],
+                        ["mad", graph],
+                        ["kernel", graph, "--k", k],
+                        ["find-reducible", graph, "--k", k, "--t", t]):
+            code = main(fmt + command)
+            err = capsys.readouterr().err
+            assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_RESOURCE), (
+                command, Path(graph).read_text(encoding="utf-8"),
+                Path(lists).read_text(encoding="utf-8"), err)

@@ -1,5 +1,5 @@
 """Backtracking solver: soundness, completeness against a product-space
-oracle, determinism and precoloring."""
+oracle, determinism and singleton lists that pin a color."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import itertools
 import json
 import random
 from pathlib import Path
-
-import pytest
 
 from listsep.assignments import ListAssignment, SeparationParams, is_proper_coloring
 from listsep.budget import CLOCK_EVERY, RESOURCE_LIMIT, Budget, Meter
@@ -21,14 +19,7 @@ from listsep.graph import (
     icosahedron_graph,
     path_graph,
 )
-from listsep.solver import (
-    SAT,
-    UNSAT,
-    SolveResult,
-    _Search,
-    solve,
-    solve_with_precolor,
-)
+from listsep.solver import SAT, UNSAT, SolveResult, _Search, solve
 
 RECORD = Path(__file__).parent / "data" / "solver_record.json"
 
@@ -67,6 +58,12 @@ def recorded_instance(index: int):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     sets = [set(rng.sample(range(universe), rng.randint(2, 3))) for _ in range(n)]
     return Graph(n, edges), ListAssignment.from_sets(sets)
+
+
+def pin(lists: ListAssignment, fixed: dict[int, int]) -> ListAssignment:
+    """`lists` with each fixed vertex's list cut to its fixed color."""
+    return ListAssignment([1 << fixed[v] if v in fixed else lists.mask(v)
+                           for v in range(len(lists))])
 
 
 K2 = Graph(2, [(0, 1)])
@@ -122,16 +119,12 @@ def test_deterministic_node_counts():
     assert first.nodes_explored == second.nodes_explored
 
 
-def test_precolor_extends_or_rejects():
+def test_pinned_center_extends_or_rejects():
     g = path_graph(3)
     lists = ListAssignment.from_sets([{5}, {5, 7}, {5}])
-    # center forced to the only color shared with both singleton ends
-    assert solve_with_precolor(g, lists, {1: 5}).verdict == UNSAT
-    assert solve_with_precolor(g, lists, {1: 7}).verdict == SAT
-    with pytest.raises(ValueError):
-        solve_with_precolor(g, lists, {1: 6})
-    with pytest.raises(ValueError):
-        solve_with_precolor(g, lists, {7: 5})
+    # center pinned to the only color shared with both singleton ends
+    assert solve(g, pin(lists, {1: 5})).verdict == UNSAT
+    assert solve(g, pin(lists, {1: 7})).verdict == SAT
 
 
 def test_own_witness_as_precolor_is_sat():
@@ -140,13 +133,13 @@ def test_own_witness_as_precolor_is_sat():
         g, lists = random_instance(rng)
         res = solve(g, lists)
         if res.verdict == SAT:
-            again = solve_with_precolor(g, lists, res.witness)
+            again = solve(g, pin(lists, res.witness))
             assert again.verdict == SAT
 
 
 def test_gadget_blocks_its_own_color_pair():
     inst = build_gadget35()
-    assert solve_with_precolor(inst.graph, inst.lists, {0: 0, 1: 3}).verdict == UNSAT
+    assert solve(inst.graph, pin(inst.lists, {0: 0, 1: 3})).verdict == UNSAT
 
 
 def assert_matches_oracle(g: Graph, lists: ListAssignment, res) -> None:
@@ -239,22 +232,19 @@ def test_pick_matches_reference_scan(monkeypatch):
         lists = ListAssignment.from_sets(sets)
         v = rng.randrange(n)
         fixed = {v: rng.choice(lists.colors(v))} if rng.random() < 0.3 else {}
-        cases.append((Graph(n, edges), lists, fixed))
-    cases.append((Graph(0), ListAssignment([]), {}))
+        cases.append((Graph(n, edges), pin(lists, fixed)))
+    cases.append((Graph(0), ListAssignment([])))
 
     def run_all():
-        return [solve_with_precolor(g, lists, fixed) for g, lists, fixed in cases]
+        return [solve(g, lists) for g, lists in cases]
 
     mine = checked_runs(monkeypatch, run_all)
     assert mine[-1] == SolveResult(SAT, {}, 0)
-    for (g, lists, fixed), res in zip(cases, mine):
-        pinned = ListAssignment.from_sets(
-            [(fixed[v],) if v in fixed else lists.colors(v) for v in range(g.n)]
-        )
+    for (g, lists), res in zip(cases, mine):
         if res.verdict == SAT:
-            assert is_proper_coloring(g, pinned, res.witness)
+            assert is_proper_coloring(g, lists, res.witness)
         if g.n <= 8:
-            assert (res.verdict == SAT) == oracle_decide(g, pinned)
+            assert (res.verdict == SAT) == oracle_decide(g, lists)
 
 
 def relabeled(g: Graph, lists: ListAssignment, rng: random.Random):
@@ -284,7 +274,7 @@ def test_heap_pick_matches_reference_scan(monkeypatch):
         lists = ListAssignment.from_sets(
             [{0, 1} if v % 2 else {2, 3} for v in range(n)]
             + [range(m - 1)] * m)
-        cases.append((Graph(n + m, edges), lists, {}))
+        cases.append((Graph(n + m, edges), lists))
     for shape in ("path", "tree", "grid", "gnp"):
         for _ in range(12):
             n = rng.randint(64, 600)
@@ -307,28 +297,24 @@ def test_heap_pick_matches_reference_scan(monkeypatch):
                  for _ in range(n)])
             v = rng.randrange(n)
             fixed = {v: rng.choice(lists.colors(v))} if rng.random() < 0.3 else {}
-            cases.append((Graph(n, edges), lists, fixed))
+            cases.append((Graph(n, edges), pin(lists, fixed)))
     books = [build_book(k, t) for k, t in ((3, 6), (3, 7), (4, 7))]
     for inst in books + [build_gadget35()] * 4:
-        cases.append((*relabeled(inst.graph, inst.lists, rng), {}))
+        cases.append(relabeled(inst.graph, inst.lists, rng))
 
     def run_all():
-        return [solve_with_precolor(g, lists, fixed,
-                                    Meter(Budget(max_nodes=4 * g.n)))
-                for g, lists, fixed in cases]
+        return [solve(g, lists, Meter(Budget(max_nodes=4 * g.n)))
+                for g, lists in cases]
 
     mine = checked_runs(monkeypatch, run_all)
-    sat = [(res.nodes_explored, g.n) for (g, _, _), res in zip(cases, mine)
+    sat = [(res.nodes_explored, g.n) for (g, _), res in zip(cases, mine)
            if res.verdict == SAT]
     assert any(nodes > n for nodes, n in sat)
     assert any(nodes == n for nodes, n in sat)
     assert {res.verdict for res in mine} == {SAT, UNSAT, RESOURCE_LIMIT}
-    for (g, lists, fixed), res in zip(cases, mine):
+    for (g, lists), res in zip(cases, mine):
         if res.verdict == SAT:
-            pinned = ListAssignment.from_sets(
-                [(fixed[v],) if v in fixed else lists.colors(v)
-                 for v in range(g.n)])
-            assert is_proper_coloring(g, pinned, res.witness)
+            assert is_proper_coloring(g, lists, res.witness)
 
 
 def test_book37_is_refuted_without_a_budget():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from listsep import tuple_audit
 from listsep.tuple_audit import (
     FAILS_INEQ1,
     INEQ1_COEFFS,
@@ -116,18 +117,20 @@ def test_full_audit_against_golden_file():
     assert normalize(report.render()) == normalize(golden)
 
 
-def test_mutated_coefficient_is_detected():
+def test_mutated_coefficient_is_detected(monkeypatch):
     # inflating the last coefficient past the slack of the (0,0,0,3) row
     # must surface at least one VIOLATES verdict
     mutated = (INEQ1_COEFFS[0], INEQ1_COEFFS[1], INEQ1_COEFFS[2], Fraction(2))
-    report = full_audit(mutated)
+    monkeypatch.setattr(tuple_audit, "INEQ1_COEFFS", mutated)
+    report = full_audit()
     assert not report.passed
     assert any(r.verdict == VIOLATES for r in report.rows)
 
 
-def test_small_coefficient_drift_stays_within_slack():
+def test_small_coefficient_drift_stays_within_slack(monkeypatch):
     # every d5-carrying tuple keeps slack at its minimum degree, so nudging
     # 1/5 up to 1/2 flips nothing; the sensitivity test above needs a larger
     # perturbation to bite
     drifted = (INEQ1_COEFFS[0], INEQ1_COEFFS[1], INEQ1_COEFFS[2], Fraction(1, 2))
-    assert full_audit(drifted).passed
+    monkeypatch.setattr(tuple_audit, "INEQ1_COEFFS", drifted)
+    assert full_audit().passed
