@@ -299,10 +299,8 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
         # lists of i's removable-color test. Entries of masks past the top
         # level are stale, but a level reads only the masks below it.
         cands, alive = enter(plans[0], 0)
-        if not alive:
-            meter.spend(len(cands))
-            continue
-        # Vertex 0 has a neighbor above it, so it is not ready at its level.
+        # Vertex 0 has neighbors above it only, so its level runs no test;
+        # its table (0 colors used) holds one list, so alive is 1.
         levels = [[cands, alive, 0, 0, None]]
         while levels:
             i = len(levels) - 1

@@ -30,8 +30,9 @@ class _PushRelabel:
     source's arcs, routes each node's excess straight to the sink where an
     arc allows, labels every node with its exact residual distance to the
     sink by one reverse BFS, and then discharges the highest-labelled active
-    node first. A label no node holds any more (a gap) lifts every node above
-    it out of play, and the BFS is repeated after O(nodes + arcs) work.
+    node first. The BFS is repeated after O(nodes + arcs) work, or once a
+    label no node holds any more (a gap) shows that nothing above it reaches
+    the sink: the BFS labels those nodes `size`, which takes them out of play.
     """
 
     def __init__(self, size: int) -> None:
@@ -93,15 +94,15 @@ class _PushRelabel:
         # between two BFS rounds keeps the labels close to exact.
         work_limit = 4 * (size + len(to))
         while True:
-            # A round starts from exact labels; active[d] and members[d] hold
-            # the active and all nodes labelled d < size. Only t has label
-            # 0, so level 0 is never discharged.
+            # A round starts from exact labels; active[d] holds the active
+            # nodes and count[d] the number of all nodes labelled d < size.
+            # Only t has label 0, so level 0 is never discharged.
             label = self._distances(t)
             active: list[list[int]] = [[] for _ in range(size)]
-            members: list[set[int]] = [set() for _ in range(size)]
+            count = [0] * size
             for v in range(size):
                 if label[v] < size:
-                    members[label[v]].add(v)
+                    count[label[v]] += 1
                     if excess[v]:
                         active[label[v]].append(v)
             current = [0] * size
@@ -145,24 +146,15 @@ class _PushRelabel:
                             lv = label[to[e]] + 1
                             if lv < new:
                                 new = lv
-                    level = members[du]
-                    level.discard(u)
-                    if not level:
-                        # Gap: nothing at du, so nothing above it reaches t.
-                        # The levels in use are contiguous, so the lift ends
-                        # at the first empty one; none of them holds an
-                        # active node, since u came from the top.
-                        for d in range(du + 1, size):
-                            if not members[d]:
-                                break
-                            for v in members[d]:
-                                label[v] = size
-                            members[d] = set()
+                    count[du] -= 1
+                    if not count[du]:
+                        # Gap: nothing above du reaches t; next BFS lifts it.
                         new = size
+                        work = work_limit + 1
                     label[u] = new
                     if new == size:
                         break
-                    members[new].add(u)
+                    count[new] += 1
                     du = new
                     i = 0
                 excess[u] = ex

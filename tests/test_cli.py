@@ -414,6 +414,29 @@ def test_verify_witness_flow(tmp_path):
     assert main(["verify-witness", *args_wide]) == EXIT_NEGATIVE
 
 
+def test_construct_gadget35_and_print(tmp_path, capsys):
+    g, lists = str(tmp_path / "g35.txt"), str(tmp_path / "l35.txt")
+    argv = ["construct", "gadget35", "--out-graph", g, "--out-lists", lists]
+    assert main(["--format", "machine", *argv]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert {"n=47", "m=126", "k=3", "t=5"} <= set(lines)
+    assert main(["solve", g, lists]) == EXIT_NEGATIVE
+    capsys.readouterr()
+    argv = ["--format", "machine", "verify-witness", g, lists, "--k", "3", "--t", "5"]
+    assert main(argv) == EXIT_OK
+    assert "confirmed=true" in capsys.readouterr().out.splitlines()
+    argv = ["--format", "machine", "construct", "book", "--k", "2", "--t", "2"]
+    assert main(argv) == EXIT_OK
+    assert "note=built at t'=3" in capsys.readouterr().out.splitlines()
+    # Without --out-* files, construct prints the instance itself.
+    assert main(["construct", "book", "--k", "2", "--t", "3"]) == EXIT_OK
+    inst = build_book(2, 3)
+    assert capsys.readouterr().out.endswith(
+        "-- graph --\n" + format_graph(inst.graph)
+        + "-- lists --\n" + format_lists(inst.lists)
+    )
+
+
 @pytest.mark.parametrize("k,t", [("10", "30"), ("1000000000", "1000000000")])
 def test_construct_rejects_huge_books(capsys, k, t):
     assert main(["construct", "book", "--k", k, "--t", t]) == EXIT_USAGE

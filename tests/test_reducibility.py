@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 
+from listsep import reducibility
 from listsep.assignments import ListAssignment, SeparationParams
 from listsep.choosability import CHOOSABLE, decide_choosable
+from listsep.cli import EXIT_NEGATIVE, main
 from listsep.constructions import build_book, build_gadget35
 from listsep.graph import (
     Graph,
@@ -26,6 +28,7 @@ from listsep.reducibility import (
     greedy_kernel,
     run_edge_reduction_suite,
 )
+from listsep.solver import UNSAT, SolveResult
 
 
 def test_find_reducible_edges_regular_graphs():
@@ -254,6 +257,47 @@ def test_suite_reports_no_critical_faults():
     assert report.hypothesis_met == 150
     assert report.passed == 150
     assert report.critical_faults == ()
+
+
+def test_a_colorless_graph_is_a_critical_fault(monkeypatch):
+    # The hypothesis holds at edge 01 of C4, and every subinstance is
+    # solved for real; only the solve of the whole graph answers UNSAT.
+    g = cycle_graph(4)
+    lists = ListAssignment.from_sets([{0, 1, 2}, {3, 4, 5}] * 2)
+    real = reducibility.solve
+
+    def unsat_on_g(h, sub, *args):
+        if h is g:
+            return SolveResult(UNSAT, None, 0)
+        return real(h, sub, *args)
+
+    monkeypatch.setattr(reducibility, "solve", unsat_on_g)
+    result = check_edge_reduction(g, 0, 1, lists, SeparationParams(3, 5))
+    assert result.verdict == CRITICAL_FAULT
+    assert result.subinstance_sat == (True, True, True)
+
+
+def test_suite_reports_a_fault(monkeypatch, capsys):
+    # The first instance that meets the hypothesis is reported as a fault.
+    real = reducibility.check_edge_reduction
+    faulted = []
+
+    def fault_once(*args):
+        result = real(*args)
+        if result.verdict == PASS and not faulted:
+            faulted.append(result)
+            return replace(result, verdict=CRITICAL_FAULT)
+        return result
+
+    monkeypatch.setattr(reducibility, "check_edge_reduction", fault_once)
+    report = run_edge_reduction_suite(count=3)
+    assert len(report.critical_faults) == 1
+    assert report.passed == 2 and not report.ok
+    faulted.clear()
+    argv = ["--format", "machine", "prop31-suite", "--count", "3"]
+    assert main(argv) == EXIT_NEGATIVE
+    lines = capsys.readouterr().out.splitlines()
+    assert "critical_faults=1" in lines and "overall=FAIL" in lines
 
 
 def test_suite_is_reproducible():

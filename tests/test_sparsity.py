@@ -192,6 +192,44 @@ def test_push_relabel_matches_bruteforce_min_cut():
     assert parallel > 500 and antiparallel > 500
 
 
+def goldberg_network(g: Graph, guess: Fraction) -> tuple[_PushRelabel, int, int]:
+    """The network `_denser_subgraph` builds, on the whole of g."""
+    a, b = guess.numerator, guess.denominator
+    net = _PushRelabel(g.n + 2)
+    s, t = g.n, g.n + 1
+    for u, v in g.edges():
+        net.add_edge(u, v, b, b)
+    for v in range(g.n):
+        net.add_edge(s, v, g.m * b)
+        net.add_edge(v, t, g.m * b + 2 * a - g.degree(v) * b)
+    return net, s, t
+
+
+def test_push_relabel_cuts_goldberg_networks():
+    # Networks of hundreds of nodes, where relabels empty labels (gaps) and
+    # end rounds; the brute-force test above stops at 10 nodes.
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(30, 400)
+        g = random_graph(rng, n, rng.uniform(2, 10) / (n - 1))
+        for scale in (1, Fraction(5, 4), Fraction(3, 2), 2):
+            net, s, t = goldberg_network(g, Fraction(g.m, n) * scale)
+            arcs = [(net.to[e ^ 1], net.to[e], c) for e, c in enumerate(net.cap)]
+            flow, side = net.min_cut(s, t)
+            assert side[s] and not side[t]
+            # A cut whose capacity equals a flow's value makes both optimal.
+            assert sum(c for u, v, c in arcs if side[u] and not side[v]) == flow
+            reach, stack = {t}, [t]
+            while stack:
+                v = stack.pop()
+                for e in net.adj[v]:
+                    u = net.to[e]
+                    if u not in reach and net.cap[e ^ 1]:
+                        reach.add(u)
+                        stack.append(u)
+            assert side == [v not in reach for v in range(net.size)]
+
+
 def test_mad_monotone_under_subgraphs():
     rng = random.Random(19)
     for _ in range(20):
