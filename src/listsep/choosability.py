@@ -2,7 +2,7 @@
 
 The decision reduces to the k-core first: vertices of degree < k are always
 greedily colorable, and a core witness extends to the whole graph with fresh
-disjoint lists. On the core, every non-choosable graph has a witness that is
+lists. On the core, every non-choosable graph has a witness that is
 "tight" on some induced subgraph H of minimum degree >= k:
 
   * every list satisfies k <= |L(v)| <= min(d_H(v), t)   (bigger lists peel),
@@ -38,8 +38,7 @@ from .assignments import (
     is_valid_assignment,
 )
 from .budget import RESOURCE_LIMIT, Budget, BudgetExceeded, Meter
-from .graph import Graph, induced_subgraph
-from .reducibility import greedy_kernel
+from .graph import Graph, greedy_kernel, induced_subgraph
 from .solver import SAT, UNSAT, solve
 
 CHOOSABLE = "CHOOSABLE"
@@ -274,10 +273,9 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
                 return cands, 0
             kill |= table[need, c]
         alive = table.full
+        # No cut empties alive: the last mask, all fresh, meets every list.
         for u, c in cuts:
             alive &= table[masks[u], c]
-            if not alive:
-                return cands, 0
         if own is not None:    # m has no color off its neighbors' union
             cover = 0
             for u in own:
@@ -382,24 +380,27 @@ def _pad_witness(
     first_fresh: int,
     p: SeparationParams,
 ) -> ListAssignment:
-    """Extend a subgraph witness to all of g with fresh disjoint lists.
+    """Extend a subgraph witness to all of g with fresh lists.
 
-    Fresh lists of size t (union regime; size k in the intersection regime)
-    satisfy every constraint they touch, and any coloring of g restricts to a
-    coloring of the subgraph, so the padded assignment stays unsolvable.
-    The fresh colors start at `first_fresh`, which is above every color in
-    `masks`.
+    Block j is the j-th run of t fresh colors (k in the intersection
+    regime) from `first_fresh`, which is above every color in `masks`. A
+    vertex outside the subgraph takes the lowest block that no padded
+    neighbor before it holds, so padded neighbors get disjoint lists and
+    every constraint a fresh list touches holds. Any coloring of g restricts
+    to a coloring of the subgraph, so the padded assignment stays unsolvable.
     """
-    block = p.t if p.regime == "union" else p.k
+    width = p.t if p.regime == "union" else p.k
     local = {v: i for i, v in enumerate(kept)}
+    nbrs = g.adjacency
+    blocks = [-1] * g.n
     full = []
-    nxt = first_fresh
     for v in range(g.n):
         if v in local:
             full.append(masks[local[v]])
-        else:
-            full.append(((1 << block) - 1) << nxt)
-            nxt += block
+            continue
+        taken = {blocks[u] for u in nbrs[v]}
+        j = blocks[v] = next(j for j in itertools.count() if j not in taken)
+        full.append(((1 << width) - 1) << (first_fresh + j * width))
     return ListAssignment(full)
 
 

@@ -28,13 +28,8 @@ from .choosability import (
     verify_not_choosable,
 )
 from .constructions import build_book, build_gadget35
-from .graph import Graph, short_number
-from .reducibility import (
-    DEFAULT_SEED,
-    find_reducible_edges,
-    greedy_kernel,
-    run_edge_reduction_suite,
-)
+from .graph import Graph, greedy_kernel, short_number
+from .reducibility import DEFAULT_SEED, find_reducible_edges, run_edge_reduction_suite
 from .solver import SAT, UNSAT, solve
 from .sparsity import mad_exact, verify_charge_algebra
 from .tuple_audit import full_audit

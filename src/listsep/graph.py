@@ -1,7 +1,9 @@
-"""Immutable simple-graph core: degrees, neighborhoods, deletions, density."""
+"""Immutable simple-graph core: degrees, neighborhoods, deletions, density,
+and the one k-core peel."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable
@@ -133,15 +135,29 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph(len(kept), edges), kept
 
 
-def peel(g: Graph, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+@dataclass(frozen=True)
+class KernelResult:
+    kernel_vertices: tuple[int, ...]   # surviving original ids, sorted
+    order: tuple[int, ...]             # removed original ids, in removal order
+
+    @property
+    def empty(self) -> bool:
+        return not self.kernel_vertices
+
+
+def greedy_kernel(g: Graph, k: int) -> KernelResult:
     """Delete the lowest-id vertex of degree < k until none is left.
 
-    Returns (order, core): the removed ids in removal order, and the sorted
-    ids of the survivors, which form the k-core. Degrees only fall, so a
-    vertex stays removable once it is; a min-heap of the removable vertices
+    The survivors form the k-core. An empty kernel certifies that every
+    (k,t)-assignment of g is colorable: replaying the removal order
+    backwards always leaves a free color. Degrees only fall, so a vertex
+    stays removable once it is; a min-heap of the removable vertices
     therefore yields the same order as rescanning from id 0 after each
-    removal, in O((n + m) log n).
+    removal, in O((n + m) log n). Raises ValueError for k < 1, where the
+    peel certifies nothing.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     degree = [len(nbrs) for nbrs in g._nbrs]
     heap = [v for v in range(g.n) if degree[v] < k]   # sorted, hence a heap
     alive = [True] * g.n
@@ -155,7 +171,7 @@ def peel(g: Graph, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 degree[u] -= 1
                 if degree[u] == k - 1:
                     heappush(heap, u)
-    return tuple(order), tuple(v for v in range(g.n) if alive[v])
+    return KernelResult(tuple(v for v in range(g.n) if alive[v]), tuple(order))
 
 
 def complete_graph(n: int) -> Graph:

@@ -1,4 +1,4 @@
-"""Reducible-edge scans, subinstance reduction checks, and greedy kernels."""
+"""Reducible-edge scans and subinstance reduction checks."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 
 from .assignments import ListAssignment, SeparationParams, is_valid_assignment
-from .graph import Graph, induced_subgraph, peel
+from .graph import Graph, induced_subgraph
 from .solver import SAT, solve
 
 PASS = "PASS"
@@ -116,29 +116,6 @@ def check_edge_reduction(
     if solve(g, lists).verdict == SAT:
         return EdgeReductionResult(PASS, dsum, threshold, sub_sat)
     return EdgeReductionResult(CRITICAL_FAULT, dsum, threshold, sub_sat)
-
-
-@dataclass(frozen=True)
-class KernelResult:
-    kernel_vertices: tuple[int, ...]   # surviving original ids, sorted
-    order: tuple[int, ...]             # removed original ids, in removal order
-
-    @property
-    def empty(self) -> bool:
-        return not self.kernel_vertices
-
-
-def greedy_kernel(g: Graph, k: int) -> KernelResult:
-    """Peel the lowest-id vertex of degree < k until none remains.
-
-    An empty kernel certifies that every (k,t)-assignment of g is colorable:
-    replaying the removal order backwards always leaves a free color.
-    Raises ValueError for k < 1, where the peel certifies nothing.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    order, core = peel(g, k)
-    return KernelResult(core, order)
 
 
 @dataclass(frozen=True)

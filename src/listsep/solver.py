@@ -175,9 +175,8 @@ class _Search:
         spend = self.meter.spend
         stack = [(v, bit)]
         while stack:
+            # w is uncolored: it is pushed once, when it first has one candidate.
             w, b = stack.pop()
-            if color[w] >= 0:
-                continue
             color[w] = b.bit_length() - 1
             key[w] = INF
             depth[w] = d

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, peel
+from .graph import Graph, greedy_kernel
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ def mad_exact(g: Graph) -> MadResult:
     flow_calls = 0
     while True:
         # Never empty: a graph of density rho > 0 has degeneracy above rho.
-        core = peel(g, math.floor(density) + 1)[1]
+        core = greedy_kernel(g, math.floor(density) + 1).kernel_vertices
         core_density = Fraction(_induced_edge_count(g, core), len(core))
         if core_density > density:
             best, density = core, core_density

@@ -30,10 +30,10 @@ from listsep.graph import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    greedy_kernel,
     icosahedron_graph,
     induced_subgraph,
 )
-from listsep.reducibility import greedy_kernel
 from listsep.solver import UNSAT, solve
 
 
@@ -99,6 +99,20 @@ def test_low_degree_vertices_are_padded_into_witnesses():
     assert verdict.verdict == NOT_CHOOSABLE
     assert verify_not_choosable(g, verdict.witness, p)
     assert verdict.witness.size(4) >= 3
+
+
+def test_padded_vertices_share_fresh_blocks():
+    # A padded vertex takes the lowest fresh block no padded neighbor before
+    # it holds, so the witness's colors stay few however many vertices pad.
+    k4_isolated = Graph(2000, complete_graph(4).edges())
+    k33_path = Graph(56, complete_bipartite_graph(3, 3).edges()
+                     + [(v, v + 1) for v in range(6, 55)])
+    for g, p, widest in [(k4_isolated, SeparationParams(3, 3), 6),
+                         (k33_path, SeparationParams(2, 1), 9)]:
+        verdict = decide_choosable(g, p)
+        assert verdict.verdict == NOT_CHOOSABLE
+        assert verify_not_choosable(g, verdict.witness, p)
+        assert max(verdict.witness.mask(v).bit_length() for v in range(g.n)) <= widest
 
 
 def test_empty_kernel_means_choosable():
@@ -476,6 +490,18 @@ def test_table_counts_match_popcount():
                 for c in range(-1, size + 2):
                     expected = sum(1 << j for j, n in enumerate(counts) if n <= c)
                     assert table[f, c] == expected    # each key asked once
+
+
+def test_last_mask_passes_every_cut():
+    # The last candidate is all fresh colors, so it meets every earlier list
+    # and no cut in `enter` can empty its level.
+    for used in range(7):
+        for size in range(6):
+            table = choosability._CandidateTable(used, size)
+            last = 1 << len(table.masks) - 1
+            for f in range(1 << used):
+                for c in range(size + 1):
+                    assert table[f, c] & last
 
 
 def test_decisions_match_reference_enumeration(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,67 @@ def test_gadget35_shape():
     # each copy respects the planar edge bound: 14 <= 3*7 - 6
     assert 14 <= 3 * 7 - 6
 
+
+
+def face_count(g, rotation) -> int:
+    """Faces of the embedding given by `rotation`, each vertex's neighbors in
+    counterclockwise order: the orbits of the darts (u, v) under
+    (u, v) -> (v, w), where w follows u in v's rotation."""
+    nxt = {}
+    for v, ring in enumerate(rotation):
+        assert sorted(ring) == list(g.neighbors(v))
+        for i, u in enumerate(ring):
+            nxt[u, v] = (v, ring[(i + 1) % len(ring)])
+    faces, seen = 0, set()
+    for dart in nxt:
+        if dart not in seen:
+            faces += 1
+            while dart not in seen:
+                seen.add(dart)
+                dart = nxt[dart]
+    return faces
+
+
+def is_connected(g) -> bool:
+    reached = {0}
+    stack = [0]
+    while stack:
+        for u in g.neighbors(stack.pop()):
+            if u not in reached:
+                reached.add(u)
+                stack.append(u)
+    return len(reached) == g.n
+
+
+def gadget_rotation(g, copies: int) -> list[list[int]]:
+    """The rotation of a drawing with endpoint 0 above, endpoint 1 below and
+    the copies side by side between them; in each copy ring vertex 2 is
+    west, 3 north, 4 east, 5 south, and the hub is in the centre."""
+    middle = 3 * (copies - 1) / 2
+    at = [(middle, 100), (middle, -100)]
+    for j in range(copies):
+        at += [(3 * j - 1, 0), (3 * j, 1), (3 * j + 1, 0), (3 * j, -1), (3 * j, 0)]
+
+    def angle(v, u):
+        return math.atan2(at[u][1] - at[v][1], at[u][0] - at[v][0])
+
+    return [sorted(g.neighbors(v), key=lambda u: angle(v, u)) for v in range(g.n)]
+
+
+def test_gadgets_are_planar():
+    # A connected graph with a rotation system of V - E + F = 2 faces is
+    # embedded in the plane: 8 faces inside each copy, and one between or
+    # around each of the nine copies.
+    for inst, copies, faces in [(build_gadget35(), 9, 81),
+                                (build_gadget_single(0, 1, (2, 3, 4, 5)), 1, 9)]:
+        g = inst.graph
+        rotation = gadget_rotation(g, copies)
+        assert is_connected(g)
+        assert face_count(g, rotation) == faces
+        assert g.n - g.m + faces == 2
+        hub = rotation[6]
+        hub[0], hub[1] = hub[1], hub[0]    # no longer a plane embedding
+        assert g.n - g.m + face_count(g, rotation) != 2
 
 def test_gadget_single_blocks_and_relaxes():
     inst = build_gadget_single(0, 1, (2, 3, 4, 5))

@@ -16,6 +16,7 @@ from listsep.graph import (
     Graph,
     complete_graph,
     cycle_graph,
+    greedy_kernel,
     icosahedron_graph,
     path_graph,
 )
@@ -25,7 +26,6 @@ from listsep.reducibility import (
     PASS,
     check_edge_reduction,
     find_reducible_edges,
-    greedy_kernel,
     run_edge_reduction_suite,
 )
 from listsep.solver import UNSAT, SolveResult

@@ -15,11 +15,11 @@ from listsep.graph import (
     Graph,
     complete_graph,
     cycle_graph,
+    greedy_kernel,
     induced_subgraph,
     path_graph,
     petersen_graph,
 )
-from listsep.reducibility import greedy_kernel
 from listsep.sparsity import (
     _ends,
     _induced_edge_count,
