@@ -113,7 +113,9 @@ def parse_graph_file(path: str) -> Graph:
             # and Graph a bad edge or vertex count; the line reader says where.
             ids = list(map(int, text.split()))
             if len(ids) == 2 * ids[1] + 2:
-                return Graph(ids[0], zip(ids[2::2], ids[3::2]))
+                it = iter(ids)
+                n, _ = next(it), next(it)
+                return Graph(n, zip(it, it))
         except ValueError:
             pass
     return _graph_by_lines(path, text)

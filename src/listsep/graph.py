@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import compress
 from typing import Iterable
 
 # The most vertices a graph may have; a graph file or book past it is a
@@ -44,22 +45,28 @@ class Graph:
             raise ValueError(
                 f"{short_number(n)} vertices exceed the limit of {MAX_VERTICES}"
             )
-        adj: list[set[int]] = [set() for _ in range(n)]
-        m = 0
+        adj: list[list[int]] = [[] for _ in range(n)]
+        # Edge {u, v} with u < v has the key u*n + v, below n^2 once the
+        # range check has passed.
+        seen: set[int] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({short_number(u)},{short_number(v)})"
                                  f" out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if v in adj[u]:
+            key = u * n + v if u < v else v * n + u
+            if key in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
-            adj[u].add(v)
-            adj[v].add(u)
-            m += 1
+            seen.add(key)
+            adj[u].append(v)
+            adj[v].append(u)
         self.n = n
-        self.m = m
-        self._nbrs = tuple(map(tuple, map(sorted, adj)))
+        self.m = len(seen)
+        del seen   # free the keys before the tuples are built
+        for nbrs in adj:
+            nbrs.sort()
+        self._nbrs = tuple(map(tuple, adj))
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -129,9 +136,9 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     for v in kept:
         g._check_vertex(v)
     index = {v: i for i, v in enumerate(kept)}
-    edges = [
-        (index[u], index[v]) for u, v in g.edges() if u in index and v in index
-    ]
+    nbrs = g._nbrs
+    edges = [(i, index[u]) for i, v in enumerate(kept)
+             for u in nbrs[v] if u > v and u in index]
     return Graph(len(kept), edges), kept
 
 
@@ -171,7 +178,7 @@ def greedy_kernel(g: Graph, k: int) -> KernelResult:
                 degree[u] -= 1
                 if degree[u] == k - 1:
                     heappush(heap, u)
-    return KernelResult(tuple(v for v in range(g.n) if alive[v]), tuple(order))
+    return KernelResult(tuple(compress(range(g.n), alive)), tuple(order))
 
 
 def complete_graph(n: int) -> Graph:

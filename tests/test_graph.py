@@ -25,17 +25,50 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
 
 
 def test_construction_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 0)])
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 3)])
-    with pytest.raises(ValueError):
-        Graph(-1)
+    def error(n, edges):
+        with pytest.raises(ValueError) as err:
+            Graph(n, edges)
+        return str(err.value)
+
+    assert error(3, [(0, 0)]) == "self-loop at vertex 0"
+    assert error(3, [(0, 1), (1, 0)]) == "duplicate edge (1,0)"
+    assert error(3, [(0, 3)]) == "edge (0,3) out of range for n=3"
+    assert error(3, [(-1, 2)]) == "edge (-1,2) out of range for n=3"
+    assert error(-1, []) == "vertex count must be nonnegative"
+    # With two faults, the first in input order is named.
+    assert error(3, [(1, 2), (2, 1), (0, 3)]) == "duplicate edge (2,1)"
+    assert error(3, [(0, 3), (1, 2), (2, 1)]) == "edge (0,3) out of range for n=3"
+    assert error(3, [(0, 1), (0, 1), (2, 2)]) == "duplicate edge (0,1)"
+    assert error(3, [(2, 2), (0, 1), (0, 1)]) == "self-loop at vertex 2"
     assert Graph(MAX_VERTICES).n == MAX_VERTICES
     with pytest.raises(ValueError, match="exceed the limit of 100000"):
         Graph(MAX_VERTICES + 1)
+
+
+def reference_adjacency(n: int, edges) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Sorted neighbor tuples and edge count, built with a set per vertex."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(tuple(sorted(a)) for a in adj), sum(map(len, adj)) // 2
+
+
+def test_construction_matches_a_set_built_reference():
+    rng = random.Random(2701)
+    cases = [(0, []), (1, []), (5, []), (50, [(0, 9), (3, 4)])]
+    for _ in range(300):
+        n, p = rng.randint(1, 40), rng.choice((0.05, 0.3, 0.8))
+        cases.append((n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p]))
+    # 2,000-leaf stars with the hub as the first and as the last vertex
+    cases += [(2001, [(0, v) for v in range(1, 2001)]),
+              (2001, [(v, 2000) for v in range(2000)])]
+    for n, edges in cases:
+        pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        rng.shuffle(pairs)
+        g = Graph(n, iter(pairs))
+        assert (g.n, g.adjacency, g.m) == (n, *reference_adjacency(n, edges))
 
 
 def test_degree_examples():
@@ -138,6 +171,22 @@ def test_induced_subgraph_keeps_edges():
     assert h.m == sum(
         1 for u, v in g.edges() if u in kept and v in kept
     )
+
+
+def test_induced_subgraph_matches_filtering_every_edge():
+    rng = random.Random(2702)
+    for _ in range(200):
+        n = rng.randint(0, 30)
+        g = random_graph(rng, n, rng.random())
+        vertices = [v for v in range(n) if rng.random() < 0.6]
+        rng.shuffle(vertices)
+        kept = tuple(sorted(vertices))
+        index = {v: i for i, v in enumerate(kept)}
+        edges = [(index[u], index[v]) for u, v in g.edges()
+                 if u in index and v in index]
+        h, got = induced_subgraph(g, vertices + vertices[:3])
+        assert got == kept
+        assert (h.n, h.adjacency, h.m) == (len(kept), *reference_adjacency(len(kept), edges))
 
 
 def test_named_graphs():
