@@ -27,7 +27,9 @@ class Graph:
     """Simple undirected graph on dense vertex ids 0..n-1.
 
     Each neighborhood is stored once, as a sorted tuple of vertex ids. The
-    constructor checks each edge for range, self-loops and duplicates as it
+    constructor builds one list per vertex in input order, sorted at the
+    end, and finds repeated edges in one set of edge keys, with no set per
+    vertex. It checks each edge for range, self-loops and duplicates as it
     reads it, so its error names the first bad edge.
 
     Instances are immutable; ``delete_edge`` and ``induced_subgraph``
