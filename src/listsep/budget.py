@@ -1,15 +1,15 @@
-"""Resource budgets for the exhaustive searches.
+"""The one resource budget of the exhaustive searches.
 
-A `Meter` is the running charge against one `Budget`. Every search that runs
-under it (the choosability enumeration and each solve inside it, or a single
-solve) charges the same meter as it makes nodes, so one long solve cannot
-overrun the budget of the run it belongs to.
+A `Meter` is a node and time budget together with the nodes charged against
+it so far. Every search that runs under it (the choosability enumeration and
+each solve inside it, or a single solve) charges the same meter as it makes
+nodes, so one long solve cannot overrun the budget of the run it belongs to.
 """
 
 from __future__ import annotations
 
+import sys
 import time
-from dataclasses import dataclass
 
 RESOURCE_LIMIT = "RESOURCE_LIMIT"
 
@@ -17,31 +17,16 @@ RESOURCE_LIMIT = "RESOURCE_LIMIT"
 CLOCK_EVERY = 1024
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Search budget; exceeding it yields the distinct RESOURCE_LIMIT verdict.
-
-    Zero is a valid limit of either kind; a negative one, or a NaN time
-    limit, raises ValueError.
-    """
-
-    max_nodes: int = 10_000_000
-    max_seconds: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_nodes < 0:
-            raise ValueError(f"max_nodes must be >= 0, got {self.max_nodes}")
-        # `not >=` also rejects NaN, which compares false with everything.
-        if self.max_seconds is not None and not self.max_seconds >= 0:
-            raise ValueError(f"max_seconds must be >= 0, got {self.max_seconds}")
-
-
 class BudgetExceeded(Exception):
     pass
 
 
 class Meter:
-    """Nodes charged so far against a Budget.
+    """A node and time budget, and the nodes charged against it so far.
+
+    The clock starts when the meter is made. Zero is a valid limit of either
+    kind; a negative one, or a NaN time limit, raises ValueError. A search
+    that exceeds either returns the distinct RESOURCE_LIMIT verdict.
 
     `spend(amount)` charges `amount` nodes as if they came one at a time: it
     raises BudgetExceeded on the node that passes `max_nodes`, and at the
@@ -53,15 +38,16 @@ class Meter:
 
     __slots__ = ("max_nodes", "deadline", "nodes", "next_check")
 
-    def __init__(self, limits: Budget) -> None:
-        self.max_nodes = limits.max_nodes
-        self.deadline = (
-            time.monotonic() + limits.max_seconds
-            if limits.max_seconds is not None
-            else None
-        )
+    def __init__(self, max_nodes: int = sys.maxsize,
+                 max_seconds: float | None = None) -> None:
+        if max_nodes < 0:
+            raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
+        # `not >=` also rejects NaN, which compares false with everything.
+        if max_seconds is not None and not max_seconds >= 0:
+            raise ValueError(f"max_seconds must be >= 0, got {max_seconds}")
+        self.max_nodes = max_nodes
+        self.deadline = None if max_seconds is None else time.monotonic() + max_seconds
         self.nodes = 0
-        self.next_check = 0
         self._schedule()
 
     def _schedule(self) -> None:

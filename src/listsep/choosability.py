@@ -37,7 +37,7 @@ from .assignments import (
     SeparationParams,
     is_valid_assignment,
 )
-from .budget import RESOURCE_LIMIT, Budget, BudgetExceeded, Meter
+from .budget import RESOURCE_LIMIT, BudgetExceeded, Meter
 from .graph import Graph, greedy_kernel, induced_subgraph
 from .solver import SAT, UNSAT, solve
 
@@ -49,6 +49,9 @@ NOT_CHOOSABLE = "NOT_CHOOSABLE"
 # the icosahedron 152 of the 2,576 it reaches in 400,000 nodes (one coloring:
 # 90 and 656; 64: 18 and 100).
 POOL_SIZE = 16
+
+# The node limit of a decision made without a meter.
+DEFAULT_MAX_NODES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -405,24 +408,28 @@ def _pad_witness(
 
 
 def decide_choosable(
-    g: Graph, p: SeparationParams, limits: Budget = Budget()
+    g: Graph, p: SeparationParams, meter: Meter | None = None
 ) -> ChoosabilityVerdict:
     """Decide whether g is (k,t)-choosable.
 
     Exhaustive within the documented enumeration (sensible for n <= 8,
-    k <= 3, t <= 6); larger inputs should set limits and may receive
-    RESOURCE_LIMIT. The NOT_CHOOSABLE witness is the first one in the fixed
-    enumeration order, so verdicts and witnesses are deterministic.
+    k <= 3, t <= 6); larger inputs should pass a `meter` (the default is
+    `Meter(DEFAULT_MAX_NODES)`) and may receive RESOURCE_LIMIT. The
+    NOT_CHOOSABLE witness is the first one in the fixed enumeration order,
+    so verdicts and witnesses are deterministic.
 
     Each subset of the core drawn is one node, as is each size profile and
-    candidate list the enumeration draws, so a budget stops every walk.
+    candidate list the enumeration draws, so the meter stops every walk.
     An assignment that one of the subgraph's pooled colorings colors is
     counted as tested and costs no node; every other one is solved, charged
-    to the decision's meter, and a coloring the solve finds joins the pool.
+    to the same meter, and a coloring the solve finds joins the pool.
     So the verdict and witness are those of solving every assignment, and
-    `nodes_used` is never more; `solves` counts the solves.
+    `nodes_used`, the nodes the decision charged, is never more; `solves`
+    counts the solves.
     """
-    meter = Meter(limits)
+    if meter is None:
+        meter = Meter(DEFAULT_MAX_NODES)
+    start = meter.nodes
     core_ids = greedy_kernel(g, p.k).kernel_vertices
     nbrs = g.adjacency
     tested = solves = 0
@@ -450,11 +457,12 @@ def decide_choosable(
                         raise BudgetExceeded
                     witness = _pad_witness(g, kept, masks, used, p)
                     return ChoosabilityVerdict(
-                        NOT_CHOOSABLE, witness, tested, meter.nodes, solves
+                        NOT_CHOOSABLE, witness, tested, meter.nodes - start, solves
                     )
+        verdict = CHOOSABLE
     except BudgetExceeded:
-        return ChoosabilityVerdict(RESOURCE_LIMIT, None, tested, meter.nodes, solves)
-    return ChoosabilityVerdict(CHOOSABLE, None, tested, meter.nodes, solves)
+        verdict = RESOURCE_LIMIT
+    return ChoosabilityVerdict(verdict, None, tested, meter.nodes - start, solves)
 
 
 def verify_not_choosable(
@@ -467,7 +475,7 @@ def verify_not_choosable(
     """True iff `lists` is a valid (k,t)-assignment of g with no coloring.
 
     With a `meter` the solve is charged to it, and the answer is None when
-    its budget runs out first. A caller that has already checked the
+    the meter runs out first. A caller that has already checked the
     assignment passes the `is_valid_assignment(g, lists, p)` result as
     `validity`, and it is not checked again.
     """

@@ -1,7 +1,8 @@
 """Command-line entry point: file parsing, subcommand dispatch, exit codes.
 
 Exit codes: 0 success/SAT/PASS, 1 definitive negative (UNSAT, NOT_CHOOSABLE,
-FAIL), 2 usage or parse error, 3 resource limit, 4 internal error.
+FAIL), 2 usage or parse error, 3 resource limit (the node or time budget, or
+memory), 4 internal error.
 
 Graph files: first non-comment line "n m", then m lines "u v" with 0-based
 ids; blank lines and lines starting with "#" are ignored. List files: one
@@ -20,9 +21,10 @@ import traceback
 from fractions import Fraction
 
 from .assignments import ListAssignment, SeparationParams, is_valid_assignment
-from .budget import RESOURCE_LIMIT, Budget, Meter
+from .budget import RESOURCE_LIMIT, Meter
 from .choosability import (
     CHOOSABLE,
+    DEFAULT_MAX_NODES,
     NOT_CHOOSABLE,
     decide_choosable,
     verify_not_choosable,
@@ -257,15 +259,15 @@ def _params(args) -> SeparationParams:
     return SeparationParams(args.k, args.t)
 
 
-def _budget(args) -> Budget:
-    return Budget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
+def _meter(args) -> Meter:
+    """The command's budget, made once its input files are read."""
+    return Meter(args.max_nodes, args.max_seconds)
 
 
 def _cmd_solve(args, out: _Out) -> int:
-    limits = _budget(args)
     g = parse_graph_file(args.graph)
     lists, names = parse_lists_file(args.lists, args.universe)
-    result = solve(g, lists, Meter(limits))
+    result = solve(g, lists, _meter(args))
     out.emit("verdict", result.verdict)
     out.emit("nodes", result.nodes_explored)
     if result.witness is not None:
@@ -275,9 +277,8 @@ def _cmd_solve(args, out: _Out) -> int:
 
 
 def _cmd_check_choosable(args, out: _Out) -> int:
-    limits = _budget(args)
     g = parse_graph_file(args.graph)
-    verdict = decide_choosable(g, _params(args), limits)
+    verdict = decide_choosable(g, _params(args), _meter(args))
     out.emit("verdict", verdict.verdict)
     out.emit("assignments_tested", verdict.assignments_tested)
     out.emit("solves", verdict.solves)
@@ -290,10 +291,10 @@ def _cmd_check_choosable(args, out: _Out) -> int:
 
 
 def _cmd_verify_witness(args, out: _Out) -> int:
-    limits = _budget(args)
     g = parse_graph_file(args.graph)
     # Renaming colors keeps validity and colorability, so names go unused.
     lists, _ = parse_lists_file(args.lists, args.universe)
+    meter = _meter(args)    # a bad budget is rejected before any output
     p = _params(args)
     valid = is_valid_assignment(g, lists, p)
     out.emit("assignment_valid", str(valid.ok).lower())
@@ -301,7 +302,7 @@ def _cmd_verify_witness(args, out: _Out) -> int:
         out.emit("violation", valid.reason)
         out.emit("confirmed", "false")
         return EXIT_NEGATIVE
-    confirmed = verify_not_choosable(g, lists, p, Meter(limits), valid)
+    confirmed = verify_not_choosable(g, lists, p, meter, valid)
     if confirmed is None:
         out.emit("confirmed", "unknown")
         return EXIT_RESOURCE
@@ -457,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="decide list colorability of graph+lists")
 
     p = add("check-choosable", _cmd_check_choosable, graph, kt,
-            budget(10_000_000), help="decide (k,t)-choosability")
+            budget(DEFAULT_MAX_NODES), help="decide (k,t)-choosability")
     p.add_argument("--emit-witness", default=None, metavar="FILE")
 
     # kt before lists keeps --k and --t ahead of --universe in the usage line.
@@ -510,6 +511,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        # Running out of memory is a resource limit, not a bug in listsep.
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     except Exception as exc:
         # Exit code 1 would read as a definitive negative verdict.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

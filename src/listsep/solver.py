@@ -48,12 +48,11 @@ No randomization; verdicts and node counts are reproducible.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .assignments import Coloring, ListAssignment
-from .budget import RESOURCE_LIMIT, Budget, BudgetExceeded, Meter
+from .budget import RESOURCE_LIMIT, BudgetExceeded, Meter
 from .graph import Graph
 
 SAT = "SAT"
@@ -281,13 +280,13 @@ def solve(
     """Decide existence of a proper list coloring; SAT comes with a witness.
 
     A singleton list pins its vertex's color: the search colors it before
-    any decision. With a `meter`, every node is charged to it as it is made,
-    and the verdict is RESOURCE_LIMIT once its budget runs out.
+    any decision. Every node is charged to `meter` (default: an unlimited
+    `Meter()`) as it is made, and the verdict is RESOURCE_LIMIT once it runs out.
     """
     if len(lists) != g.n:
         raise ValueError(f"assignment covers {len(lists)} vertices, graph has {g.n}")
     if meter is None:
-        meter = Meter(Budget(max_nodes=sys.maxsize))
+        meter = Meter()
     start = meter.nodes
     st = _Search(g, [lists.mask(v) for v in range(g.n)], meter)
     try:

@@ -10,10 +10,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from listsep.assignments import ListAssignment, SeparationParams, is_valid_assignment
+from listsep.budget import Meter
 from listsep.choosability import (
     CHOOSABLE,
     NOT_CHOOSABLE,
-    Budget,
     decide_choosable,
     verify_not_choosable,
 )
@@ -122,7 +122,6 @@ def test_criterion_5_mad_oracle_equivalence():
 
 def test_criterion_6_choosability_verdicts():
     start = time.monotonic()
-    budget = Budget(max_nodes=10_000_000)
     cases = [
         (cycle_graph(4), SeparationParams(2, 2), CHOOSABLE),
         (cycle_graph(6), SeparationParams(2, 2), CHOOSABLE),
@@ -132,9 +131,10 @@ def test_criterion_6_choosability_verdicts():
         (complete_graph(4), SeparationParams(3, 3), NOT_CHOOSABLE),
     ]
     for g, p, expected in cases:
-        verdict = decide_choosable(g, p, budget)
+        meter = Meter(10_000_000)    # a meter counts up, so one per decision
+        verdict = decide_choosable(g, p, meter)
         assert verdict.verdict == expected, (g, p)
-        assert verdict.nodes_used <= budget.max_nodes
+        assert verdict.nodes_used <= meter.max_nodes
         if expected == NOT_CHOOSABLE:
             assert verify_not_choosable(g, verdict.witness, p)
     elapsed = time.monotonic() - start

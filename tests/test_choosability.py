@@ -7,6 +7,8 @@ import random
 import time
 from types import SimpleNamespace
 
+import pytest
+
 from listsep import budget, choosability
 from listsep.assignments import (
     ListAssignment,
@@ -19,7 +21,6 @@ from listsep.choosability import (
     CHOOSABLE,
     NOT_CHOOSABLE,
     RESOURCE_LIMIT,
-    Budget,
     ChoosabilityVerdict,
     decide_choosable,
     verify_not_choosable,
@@ -140,7 +141,7 @@ def test_choosable_verdict_stable_under_relabeling():
 
 def test_budget_exhaustion_is_reported_not_coerced():
     verdict = decide_choosable(
-        cycle_graph(6), SeparationParams(2, 2), Budget(max_nodes=5)
+        cycle_graph(6), SeparationParams(2, 2), Meter(max_nodes=5)
     )
     assert verdict.verdict == RESOURCE_LIMIT
     assert verdict.witness is None
@@ -154,7 +155,7 @@ def test_budget_stops_the_subset_and_profile_walks():
         verdict = decide_choosable(g, p)
         assert (verdict.verdict, verdict.assignments_tested, verdict.nodes_used) == (
             CHOOSABLE, 0, nodes)
-        verdict = decide_choosable(g, p, Budget(max_nodes=100))
+        verdict = decide_choosable(g, p, Meter(max_nodes=100))
         assert (verdict.verdict, verdict.nodes_used) == (RESOURCE_LIMIT, 101)
 
 
@@ -185,27 +186,61 @@ def test_clock_is_read_once_per_1024_nodes(monkeypatch):
     for g, max_nodes, expected in ((complete_bipartite_graph(3, 3), 10_000_000, 284),
                                    (complete_graph(5), 100_000, 98)):
         reads.clear()
-        verdict = decide_choosable(g, p, Budget(max_nodes, max_seconds=3600))
+        verdict = decide_choosable(g, p, Meter(max_nodes, max_seconds=3600))
         assert len(reads) == 1 + min(verdict.nodes_used, max_nodes) // CLOCK_EVERY
         assert len(reads) == expected
 
 
 def test_metering_leaves_counts_of_runs_within_budget():
     g, p = complete_bipartite_graph(3, 3), SeparationParams(3, 5)
-    for limits in (Budget(), Budget(max_nodes=289_806, max_seconds=3600)):
-        verdict = decide_choosable(g, p, limits)
+    for meter in (None, Meter(max_nodes=289_806, max_seconds=3600)):
+        verdict = decide_choosable(g, p, meter)
         assert verdict.verdict == CHOOSABLE
         assert (verdict.assignments_tested, verdict.nodes_used) == (216, 289_806)
 
 
 def test_budgeted_counts_of_graphs_past_the_budget():
-    p, limits = SeparationParams(3, 5), Budget(max_nodes=400_000)
+    p = SeparationParams(3, 5)
     for g, tested in ((complete_graph(5), 711), (icosahedron_graph(), 2_576),
                       (complete_bipartite_graph(4, 4), 0)):
-        verdict = decide_choosable(g, p, limits)
+        verdict = decide_choosable(g, p, Meter(max_nodes=400_000))
         assert (verdict.verdict, verdict.assignments_tested, verdict.nodes_used) == (
             RESOURCE_LIMIT, tested, 400_001)
         assert verdict.witness is None
+
+
+def test_decisions_sharing_a_meter_charge_it_in_turn():
+    c5, k4 = cycle_graph(5), complete_graph(4)
+    meter = Meter()
+    for g, p, used in ((c5, SeparationParams(2, 2), 15),
+                       (k4, SeparationParams(3, 3), 21)):
+        verdict = decide_choosable(g, p, meter)
+        assert (verdict.verdict, verdict.nodes_used) == (NOT_CHOOSABLE, used)
+    assert meter.nodes == 36
+    # The second decision gets what the first left of 30 nodes: 15, and it
+    # stops on the 16th.
+    meter = Meter(30)
+    assert decide_choosable(c5, SeparationParams(2, 2), meter).nodes_used == 15
+    verdict = decide_choosable(k4, SeparationParams(3, 3), meter)
+    assert (verdict.verdict, verdict.nodes_used) == (RESOURCE_LIMIT, 16)
+    assert meter.nodes == 31
+
+
+def test_decisions_without_a_meter_stop_at_the_default_limit():
+    assert choosability.DEFAULT_MAX_NODES == 10_000_000
+    verdict = decide_choosable(complete_graph(5), SeparationParams(3, 5))
+    assert (verdict.verdict, verdict.nodes_used, verdict.assignments_tested) == (
+        RESOURCE_LIMIT, 10_000_001, 5_442)
+
+
+@pytest.mark.parametrize("limits,message", [
+    ({"max_nodes": -1}, "max_nodes must be >= 0, got -1"),
+    ({"max_seconds": -1}, "max_seconds must be >= 0, got -1"),
+    ({"max_seconds": float("nan")}, "max_seconds must be >= 0, got nan"),
+])
+def test_meter_rejects_bad_limits(limits, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Meter(**limits)
 
 
 def test_plain_k_choosability_at_t_equal_k():
@@ -365,7 +400,7 @@ def seeded_cases(count: int, seed: int):
 def enumeration_record(enumerate_on, h: Graph, p: SeparationParams, max_nodes: int):
     """Every (masks, used, nodes charged) the enumeration yields within
     max_nodes, then the nodes charged when it ended."""
-    meter = Meter(Budget(max_nodes=max_nodes))
+    meter = Meter(max_nodes=max_nodes)
     out = []
     try:
         for masks, used in enumerate_on(h, p, meter):
@@ -515,15 +550,17 @@ def test_decisions_match_reference_enumeration(monkeypatch):
     def reference(h, p, meter, candidates):
         return reference_tight_assignments(h, p, meter)
 
-    runs = [(g, p, Budget(max_nodes)) for max_nodes in (1_000, 50_000) for g, p in cases]
+    # Each run is (graph, params, node limit), and gets a fresh meter.
+    runs = [(g, p, max_nodes) for max_nodes in (1_000, 50_000) for g, p in cases]
     for g, p, full in CUT_CASES:
         verdict = decide_choosable(g, p)
         assert (verdict.verdict, verdict.nodes_used) == (NOT_CHOOSABLE, full)
-        runs += [(g, p, Budget(max_nodes)) for max_nodes in range(full + 1)]
-    mine = [decide_choosable(g, p, limits) for g, p, limits in runs]
+        runs += [(g, p, max_nodes) for max_nodes in range(full + 1)]
+    mine = [decide_choosable(g, p, Meter(max_nodes)) for g, p, max_nodes in runs]
     with monkeypatch.context() as patch:
         patch.setattr(choosability, "_tight_assignments", reference)
-        assert mine == [decide_choosable(g, p, limits) for g, p, limits in runs]
+        assert mine == [decide_choosable(g, p, Meter(max_nodes))
+                        for g, p, max_nodes in runs]
 
 
 def test_every_solve_goes_through_solve(monkeypatch):
@@ -541,10 +578,9 @@ def test_every_solve_goes_through_solve(monkeypatch):
     assert len(calls) == verdict.solves == 18
 
 
-def reference_decide(g: Graph, p: SeparationParams, limits: Budget):
+def reference_decide(g: Graph, p: SeparationParams, meter: Meter):
     """`decide_choosable` without the coloring pool: every tight assignment
-    is solved."""
-    meter = Meter(limits)
+    is solved. The meter is fresh, so its count is the decision's."""
     core_ids = greedy_kernel(g, p.k).kernel_vertices
     tested, candidates = 0, {}
     try:
@@ -601,14 +637,15 @@ def test_pool_matches_running_every_assignment(monkeypatch):
 
     monkeypatch.setattr(choosability, "induced_subgraph", recorded_subgraph)
     monkeypatch.setattr(choosability, "_ColoringPool", CheckedPool)
-    runs = [(g, p, Budget(max_nodes)) for g, p in seeded_cases(60, 2027)
+    runs = [(g, p, max_nodes) for g, p in seeded_cases(60, 2027)
             for max_nodes in (1_000, 50_000)]
     for g, p, _ in CUT_CASES:
-        full = reference_decide(g, p, Budget()).nodes_used
-        runs += [(g, p, Budget(max_nodes)) for max_nodes in range(full + 1)]
+        full = reference_decide(g, p, Meter(10_000_000)).nodes_used
+        runs += [(g, p, max_nodes) for max_nodes in range(full + 1)]
     outcomes, regimes = set(), set()
-    for g, p, limits in runs:
-        mine, ref = decide_choosable(g, p, limits), reference_decide(g, p, limits)
+    for g, p, max_nodes in runs:
+        mine = decide_choosable(g, p, Meter(max_nodes))
+        ref = reference_decide(g, p, Meter(max_nodes))
         outcomes.add((mine.verdict, ref.verdict))
         regimes.add(p.regime)
         assert mine.nodes_used <= ref.nodes_used
@@ -619,7 +656,7 @@ def test_pool_matches_running_every_assignment(monkeypatch):
         elif mine.verdict != RESOURCE_LIMIT:
             # The pool reached further within the budget: it must land where
             # running every assignment does without one.
-            ref = reference_decide(g, p, Budget(max_nodes=10**9))
+            ref = reference_decide(g, p, Meter(max_nodes=10**9))
             assert (mine.verdict, mine.witness, mine.assignments_tested) == (
                 ref.verdict, ref.witness, ref.assignments_tested)
     assert {(CHOOSABLE, CHOOSABLE), (NOT_CHOOSABLE, NOT_CHOOSABLE),

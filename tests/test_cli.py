@@ -374,6 +374,18 @@ def test_internal_error_is_not_a_negative_verdict(tmp_path, monkeypatch, capsys)
     assert "internal error: RuntimeError: solver fault" in capsys.readouterr().err
 
 
+def test_running_out_of_memory_is_a_resource_limit(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(listsep.cli, "greedy_kernel", exhausted)
+    g = write(tmp_path, "k2.txt", "2 1\n0 1\n")
+    assert main(["kernel", g, "--k", "2"]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
 def test_check_choosable_exit_codes(tmp_path):
     c4 = write(tmp_path, "c4.txt", "4 4\n0 1\n1 2\n2 3\n3 0\n")
     c5 = write(tmp_path, "c5.txt", "5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")

@@ -9,7 +9,7 @@ import random
 from pathlib import Path
 
 from listsep.assignments import ListAssignment, SeparationParams, is_proper_coloring
-from listsep.budget import CLOCK_EVERY, RESOURCE_LIMIT, Budget, Meter
+from listsep.budget import CLOCK_EVERY, RESOURCE_LIMIT, Meter
 from listsep.choosability import decide_choosable
 from listsep.constructions import build_book, build_gadget35
 from listsep.graph import (
@@ -303,7 +303,7 @@ def test_heap_pick_matches_reference_scan(monkeypatch):
         cases.append(relabeled(inst.graph, inst.lists, rng))
 
     def run_all():
-        return [solve(g, lists, Meter(Budget(max_nodes=4 * g.n)))
+        return [solve(g, lists, Meter(max_nodes=4 * g.n))
                 for g, lists in cases]
 
     mine = checked_runs(monkeypatch, run_all)
@@ -387,14 +387,14 @@ def test_solve_budget_cuts_off_and_is_charged_exactly():
     g, lists = complete_graph(8), ListAssignment.from_sets([range(7)] * 8)
     full = solve(g, lists)
     assert (full.verdict, full.nodes_explored) == (UNSAT, 13_699)
-    meter = Meter(Budget(max_nodes=100))
+    meter = Meter(max_nodes=100)
     res = solve(g, lists, meter)
     assert (res.verdict, res.witness, res.nodes_explored) == (RESOURCE_LIMIT, None, 101)
     assert meter.nodes == 101
-    meter = Meter(Budget(max_nodes=full.nodes_explored, max_seconds=3600))
+    meter = Meter(max_nodes=full.nodes_explored, max_seconds=3600)
     assert solve(g, lists, meter) == full
     assert meter.nodes == full.nodes_explored
-    res = solve(g, lists, Meter(Budget(max_seconds=0)))
+    res = solve(g, lists, Meter(max_seconds=0))
     assert (res.verdict, res.nodes_explored) == (RESOURCE_LIMIT, CLOCK_EVERY)
 
 
@@ -403,9 +403,9 @@ def test_decide_cannot_overrun_its_budget():
     # decision, so the budgets from 656 to 667 run out inside it.
     ico, p = icosahedron_graph(), SeparationParams(3, 5)
     for max_nodes in range(650, 675):
-        verdict = decide_choosable(ico, p, Budget(max_nodes=max_nodes))
+        verdict = decide_choosable(ico, p, Meter(max_nodes=max_nodes))
         assert verdict.verdict == RESOURCE_LIMIT
         assert verdict.nodes_used == max_nodes + 1
-    verdict = decide_choosable(ico, p, Budget(max_seconds=0))
+    verdict = decide_choosable(ico, p, Meter(max_seconds=0))
     assert verdict.verdict == RESOURCE_LIMIT
     assert verdict.nodes_used == CLOCK_EVERY
