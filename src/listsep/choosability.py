@@ -124,6 +124,19 @@ class _CandidateTable(dict):
         bits = self[key] = within[c]
         return bits
 
+    def trim(self, f: int, bits: int, c: int) -> int:
+        """trimmed[f, bits, c], computed on first use."""
+        key = f, bits, c
+        cut = self.trimmed.get(key)
+        if cut is None:
+            cut = 0
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                cut |= self[f ^ low, c]
+            self.trimmed[key] = cut
+        return cut
+
 
 def _removable_colors(m: int, lists: list[int], t: int) -> int:
     """The colors of m that can be dropped while m still reaches t in union
@@ -137,15 +150,23 @@ def _removable_colors(m: int, lists: list[int], t: int) -> int:
 
 
 class _Plan(NamedTuple):
-    """The tests of one enumeration level under one size profile; see
-    `_tight_assignments`."""
+    """The tests of vertex i's enumeration level under one size profile;
+    see `_tight_assignments`. With p = i - 1 the parent vertex, `needs`,
+    `trims`, `cuts` and `own` read no list at or above p. The p_ fields
+    hold the terms that read p's list, with p left out of every `others`."""
 
     size: int    # of the level's lists
     needs: list[tuple[int, tuple[int, ...]]]    # need-only ready w, others
     trims: list[tuple[int, tuple[int, ...], int | None]]    # (w, others, c)
     cuts: list[tuple[int, int]]    # (earlier neighbor u, c)
-    own: tuple[int, ...] | None    # i's neighbors, if i is ready
-    removable: bool    # i is ready and its lists can hold a removable color
+    own: tuple[int, ...] | None    # i's neighbors but p, if i is ready
+    p_needs: list[tuple[int, tuple[int, ...]]]    # needs whose others hold p
+    p_trims: list[tuple[int, tuple[int, ...], int | None]]    # likewise trims
+    p_need: tuple[int, ...] | None    # p's others, if p is need-only ready
+    p_trim: tuple[tuple[int, ...], int | None] | None    # (others, c) of p
+    p_cut: int | None    # c of the cut on p's list, if it can fail
+    p_own: bool    # i is ready and p is one of its neighbors
+    removable: tuple[int, ...] | None    # i's neighbors if ready, size > k
 
 
 def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: dict):
@@ -168,6 +189,13 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
     Which tests a level runs depends only on the size profile, so each
     profile plans its levels once; a level that no candidate passes is
     charged all its candidates at once and never pushed.
+    Level i is entered once per candidate that its parent p = i - 1 takes,
+    but the lists below p stay the same while p's level is on the walk. So
+    the plan splits i's tests by whether they read p's list: the part that
+    does not is folded once per position of p's level and per `used`, and
+    kept in a dict on p's level entry that is dropped with it. Entering
+    level i then reads p's list only: at most one cut, the need and cover
+    terms that name p, and the trims of p itself.
     """
     n = h.n
     k, t = p.k, p.t
@@ -199,93 +227,201 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
         |tr| + size - t. Only a w with sizes[w] > k can have a removable
         color, and with c < 0 no m reaches t with tr (c < 0 filters
         nothing; it does not kill the level). So those w are need-only,
-        and the rest go to `trims` as (w, others, c), with c None when
+        and the rest are trimmed, as (w, others, c), with c None when
         every m reaches t with tr.
 
         m meets an earlier neighbor list f iff |m & f| <= c (c = t in the
         intersection regime, |m| + |f| - t in the union regime). `cuts`
         holds the (u, c) for which that can fail: c < |m| and c < |f|. The
         profile passed the edge test, so no c is negative.
+
+        Each test goes to the p_ fields iff it reads the list of the parent
+        p = i - 1: p is the ready w, one of w's others, the cut's u or one
+        of i's own neighbors.
         """
         size = sizes[i]
-        needs, trims = [], []
-        own, removable = None, False
+        parent = i - 1
+        needs, trims, p_needs, p_trims = [], [], [], []
+        own = p_need = p_trim = removable = None
+        p_own = False
         for w, others in checks[i]:
             if w == i:
-                own, removable = others, size > k
+                own = tuple(u for u in others if u != parent)
+                p_own = len(own) < len(others)
+                removable = others if size > k else None
                 continue
             width = sizes[w] - 1
             c = width + size - t
-            if width < k or c < 0:
-                needs.append((w, others))
+            trimmed = width >= k and c >= 0
+            if trimmed and not (c < size and c < width):
+                c = None
+            if w == parent:
+                if trimmed:
+                    p_trim = others, c
+                else:
+                    p_need = others
+            elif parent in others:
+                rest = tuple(u for u in others if u != parent)
+                if trimmed:
+                    p_trims.append((w, rest, c))
+                else:
+                    p_needs.append((w, rest))
+            elif trimmed:
+                trims.append((w, others, c))
             else:
-                trims.append((w, others, c if c < size and c < width else None))
-        cuts = []
+                needs.append((w, others))
+        cuts, p_cut = [], None
         for u in earlier[i]:
             width = sizes[u]
             c = size + width - t if union else t
             if c < size and c < width:
-                cuts.append((u, c))
-        return _Plan(size, needs, trims, cuts, own, removable)
+                if u == parent:
+                    p_cut = c
+                else:
+                    cuts.append((u, c))
+        return _Plan(size, needs, trims, cuts, own, p_needs, p_trims,
+                     p_need, p_trim, p_cut, p_own, removable)
 
     masks = [0] * n
 
-    def enter(level: _Plan, used: int) -> tuple[list[int], int]:
-        """The candidates of a level planned as `level` with `used` colors
-        taken below it, and the bitset of those that pass every test but
-        the level's own removable-color one. Each masks[u] below the level
-        holds sizes[u] colors. The ready-vertex tests run first: they can
-        rule out every candidate before any bitset is read."""
-        size, needs, trims, cuts, own, _ = level
+    def lone_removable(mw: int, others: tuple[int, ...]) -> tuple[int, int]:
+        """The colors of mw that no list of `others` holds, and those
+        removable against them, as `_removable_colors` finds them."""
+        bits, cover = mw, 0
+        for u in others:
+            f = masks[u]
+            cover |= f
+            if (mw | f).bit_count() == t:
+                bits &= f
+        return mw & ~cover, bits
+
+    def fold(level: _Plan, used: int) -> tuple:
+        """The part of a level's tests that reads no list at or above its
+        parent p, with `used` colors taken below the level:
+        (table, alive, need, need_p, cover_p, trims_p, trim_p, cut_p, off).
+
+        alive is the bitset of the table's candidates that pass every test
+        of that part, and 0 if a test rules out every candidate. The rest
+        are the terms that `enter` completes with p's list mp:
+          * a candidate holds every color of need | need_p & ~mp |
+            mp & ~cover_p (cover_p is -1, every color, if p is not ready);
+          * trims_p holds (mw, bits, c) for each trimmed w whose others
+            hold p, with bits the colors of mw removable against the others
+            but p, if there are any;
+          * trim_p is (the lists of p's others, c) if p is trimmed;
+          * cut_p is the c of p's cut, if p has one;
+          * a candidate misses every color of off & ~mp, if i's own test
+            reads p.
+        """
+        size = level.size
         table = candidates.get((used, size))
         if table is None:
             table = candidates[used, size] = _CandidateTable(used, size)
-        cands = table.masks
+        dead = table, 0, 0, 0, -1, (), None, None, 0
         need = kill = 0    # kill: the candidates that a ready w != i prunes
-        for w, others in needs:
+        for w, others in level.needs:
             cover = 0
             for u in others:
                 cover |= masks[u]
             need |= masks[w] & ~cover
-        for w, others, c in trims:
+        for w, others, c in level.trims:
             mw = masks[w]
-            # w's removable colors, as `_removable_colors` finds them
-            bits, cover = mw, 0
+            lone, bits = lone_removable(mw, others)
+            need |= lone
+            if bits:
+                if c is None:
+                    return dead
+                kill |= table.trim(mw, bits, c)
+        need_p, trims_p = 0, []
+        for w, others in level.p_needs:
+            cover = 0
             for u in others:
-                f = masks[u]
-                cover |= f
-                if (mw | f).bit_count() == t:
-                    bits &= f
-            need |= mw & ~cover
+                cover |= masks[u]
+            need_p |= masks[w] & ~cover
+        for w, others, c in level.p_trims:
+            mw = masks[w]
+            lone, bits = lone_removable(mw, others)
+            need_p |= lone
+            if bits:    # else p's list cannot give w a removable color
+                trims_p.append((mw, bits, c))
+        cover_p, trim_p = -1, None
+        if level.p_need is not None:
+            cover_p = 0
+            for u in level.p_need:
+                cover_p |= masks[u]
+        elif level.p_trim is not None:
+            others, c = level.p_trim
+            lists = [masks[u] for u in others]
+            cover_p = 0
+            for f in lists:
+                cover_p |= f
+            trim_p = lists, c
+        if need and not need_p and cover_p < 0:    # p's list adds no need
+            c = need.bit_count() - 1
+            if c >= size:    # no candidate holds it all
+                return dead
+            kill |= table[need, c]
+            need = 0
+        alive = table.full
+        # No cut empties alive: the last mask, all fresh, meets every list.
+        for u, c in level.cuts:
+            alive &= table[masks[u], c]
+        off = 0
+        if level.own is not None:    # a candidate has no color off the
+            cover = 0                # union of i's neighbors' lists
+            for u in level.own:
+                cover |= masks[u]
+            off = ~cover & ((1 << used + size) - 1)
+            if off and not level.p_own:
+                alive &= table[off, 0]
+                off = 0
+        return (table, alive & ~kill, need, need_p, cover_p, trims_p, trim_p,
+                level.p_cut, off)
+
+    def enter(level: _Plan, used: int, mp: int, below: dict) -> tuple[list[int], int]:
+        """The candidates of a level planned as `level` with `used` colors
+        taken below it, and the bitset of those that pass every test but
+        the level's own removable-color one. Each masks[u] below the
+        level's parent p holds sizes[u] colors, and mp is p's list.
+
+        `below` maps `used` to `fold`'s result for this level. It lives on
+        p's level entry, so it is filled once per position of p's level;
+        per call only the terms that read mp run. The ready-vertex ones run
+        first: they can rule out every candidate before any bitset is read.
+        """
+        fixed = below.get(used)
+        if fixed is None:
+            fixed = below[used] = fold(level, used)
+        table, alive, need, need_p, cover_p, trims_p, trim_p, cut_p, off = fixed
+        cands = table.masks
+        if not alive:
+            return cands, 0
+        kill = 0
+        for mw, bits, c in trims_p:
+            if (mw | mp).bit_count() == t:
+                bits &= mp
             if bits:
                 if c is None:
                     return cands, 0
-                key = mw, bits, c
-                cut = table.trimmed.get(key)
-                if cut is None:
-                    cut = 0
-                    while bits:
-                        low = bits & -bits
-                        bits ^= low
-                        cut |= table[mw ^ low, c]
-                    table.trimmed[key] = cut
-                kill |= cut
-        if need:    # m holds all of need
+                kill |= table.trim(mw, bits, c)
+        if trim_p is not None:
+            lists, c = trim_p
+            bits = _removable_colors(mp, lists, t)
+            if bits:
+                if c is None:
+                    return cands, 0
+                kill |= table.trim(mp, bits, c)
+        need |= need_p & ~mp | mp & ~cover_p
+        if need:    # a candidate holds all of need
             c = need.bit_count() - 1
-            if c >= size:    # no m holds it all
+            if c >= level.size:    # no candidate holds it all
                 return cands, 0
             kill |= table[need, c]
-        alive = table.full
-        # No cut empties alive: the last mask, all fresh, meets every list.
-        for u, c in cuts:
-            alive &= table[masks[u], c]
-        if own is not None:    # m has no color off its neighbors' union
-            cover = 0
-            for u in own:
-                cover |= masks[u]
-            off = ~cover & ((1 << used + size) - 1)
-            if off:
-                alive &= table[off, 0]
+        if cut_p is not None:
+            alive &= table[mp, cut_p]
+        off &= ~mp
+        if off:
+            alive &= table[off, 0]
         return cands, alive & ~kill
 
     for sizes in itertools.product(*size_ranges):
@@ -294,19 +430,20 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
             continue
         plans = [plan(i, sizes) for i in range(n)]
         # A depth-first walk without recursion: levels[i] is vertex i's
-        # level, [cands, alive, pos, used, lists]: pos is the index of the
-        # next candidate to try, bit j of alive is set iff cands[pos + j]
-        # passes enter()'s tests, and lists, if set, holds the neighbor
-        # lists of i's removable-color test. Entries of masks past the top
-        # level are stale, but a level reads only the masks below it.
-        cands, alive = enter(plans[0], 0)
+        # level, [cands, alive, pos, used, lists, below]: pos is the index
+        # of the next candidate to try, bit j of alive is set iff
+        # cands[pos + j] passes enter()'s tests, lists, if set, holds the
+        # neighbor lists of i's removable-color test, and below is level
+        # i + 1's `fold` cache. Entries of masks past the top level are
+        # stale, but a level reads only the masks below it.
+        cands, alive = enter(plans[0], 0, 0, {})
         # Vertex 0 has neighbors above it only, so its level runs no test;
         # its table (0 colors used) holds one list, so alive is 1.
-        levels = [[cands, alive, 0, 0, None]]
+        levels = [[cands, alive, 0, 0, None, {}]]
         while levels:
             i = len(levels) - 1
             level = levels[i]
-            cands, alive, pos, before, lists = level
+            cands, alive, pos, before, lists, below = level
             # The candidates from pos up to the next passing one are tried.
             # A passing m with no removable color is taken: it is yielded at
             # the last vertex, else the walk descends into the next level
@@ -331,14 +468,14 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter, candidates: 
                     yield tuple(masks), now
                     continue
                 nxt = plans[i + 1]
-                child, child_alive = enter(nxt, now)
+                child, child_alive = enter(nxt, now, m, below)
                 if not child_alive:
                     owed += len(child)
                     continue
                 meter.spend(owed)
                 level[1], level[2] = alive, pos
-                lists = [masks[u] for u in nxt.own] if nxt.removable else None
-                levels.append([child, child_alive, 0, now, lists])
+                lists = [masks[u] for u in nxt.removable] if nxt.removable else None
+                levels.append([child, child_alive, 0, now, lists, {}])
                 break
             else:
                 meter.spend(owed + len(cands) - pos)

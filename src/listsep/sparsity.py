@@ -116,9 +116,10 @@ class _PushRelabel:
                 du = label[u]
                 ex = excess[u]
                 arcs = adj[u]
+                degree = len(arcs)
                 i = current[u]
                 while True:
-                    while i < len(arcs):
+                    while i < degree:
                         e = arcs[i]
                         c = cap[e]
                         if c:
@@ -139,7 +140,7 @@ class _PushRelabel:
                     if not ex:
                         break
                     # Relabel u to one above its lowest residual neighbour.
-                    work += len(arcs) + 12
+                    work += degree + 12
                     new = size
                     for e in arcs:
                         if cap[e]:

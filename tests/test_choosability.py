@@ -440,18 +440,36 @@ WHEEL6_HUB_LAST = Graph(
     7, [(v, (v + 1) % 6) for v in range(6)] + [(v, 6) for v in range(6)]
 )
 
+# K1,1,3, three triangles on the edge 1-3, with the pages 0, 2 and 4. At
+# vertex 4's level the parent 3 is a ready vertex, need-only or trimmed by
+# the profile, one of the ready hub 1's others, an earlier neighbor that
+# can cut and one of vertex 4's own neighbors; at vertex 3's level the
+# parent 2 is a ready page.
+K113_HUBS_1_3 = Graph(5, [(1, 3)] + [(h, v) for h in (1, 3) for v in (0, 2, 4)])
+
+# K3,3 with its sides numbered 0..2 and 3..5, and alternating. Side by side,
+# the parent of vertices 1, 2 and 4 is no neighbor, no ready vertex and in
+# no ready vertex's others, so their levels are folded whole; alternating,
+# every parent is an earlier neighbor.
+K33_ALTERNATING = Graph(6, [(u, v) for u in (0, 2, 4) for v in (1, 3, 5)])
+
 # Dense graphs at (3,5) whose lists reach size > k, so the trimmed-list and
 # need terms filter levels, cut at 200,000 nodes; K5 in the intersection
 # regime, where every list has k colors, enumerated to its end (472,729
-# nodes); and W6 with its hub last at (3,6), whose rim lists have k colors,
+# nodes); W6 with its hub last at (3,6), whose rim lists have k colors,
 # so the hub's level tests need-only ready vertices, cut at 200,000 nodes;
-# as (graph, params, max_nodes).
+# K1,1,3 at (2,3), whose parent lists take every role in a level's tests,
+# enumerated to its end (7,552 nodes); and K3,3 at (3,5) in both
+# numberings, cut at 200,000 nodes; as (graph, params, max_nodes).
 DENSE_CASES = [
     (complete_graph(5), SeparationParams(3, 5), 200_000),
     (icosahedron_graph(), SeparationParams(3, 5), 200_000),
     (complete_bipartite_graph(4, 4), SeparationParams(3, 5), 200_000),
     (complete_graph(5), SeparationParams(3, 2), 500_000),
     (WHEEL6_HUB_LAST, SeparationParams(3, 6), 200_000),
+    (K113_HUBS_1_3, SeparationParams(2, 3), 10_000),
+    (complete_bipartite_graph(3, 3), SeparationParams(3, 5), 200_000),
+    (K33_ALTERNATING, SeparationParams(3, 5), 200_000),
 ]
 
 
@@ -480,8 +498,8 @@ def test_memoised_bitsets_match_their_definition():
         return choosability._tight_assignments(h, p, meter, shared)
 
     dense_enumeration(enumerate_on)
-    # The dense cases stop before any profile with a list above k colors
-    # next to a ready vertex; these reach such profiles.
+    # Of the dense cases, only K1,1,3 reaches a profile with a list above k
+    # colors next to a ready vertex; these reach many such profiles.
     for h, p in seeded_cases(100, 2024):
         enumeration_record(enumerate_on, h, p, 3_000)
     entries = trimmed = 0

@@ -363,6 +363,28 @@ def test_runs_as_a_module_from_a_checkout():
     assert "check-choosable" in run.stdout
 
 
+def test_module_out_of_memory_on_import_is_a_resource_limit(tmp_path):
+    """`python -m listsep` exits 3, not 1, when importing the command line
+    raises MemoryError; a `sitecustomize` hook raises it for `listsep.cli`."""
+    write(tmp_path, "sitecustomize.py", (
+        "import sys\n"
+        "class NoMemoryForCli:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'listsep.cli':\n"
+        "            raise MemoryError\n"
+        "sys.meta_path.insert(0, NoMemoryForCli())\n"
+    ))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+    run = subprocess.run(
+        [sys.executable, "-m", "listsep", "--format", "machine",
+         "construct", "book", "--k", "2", "--t", "3"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (
+        EXIT_RESOURCE, "", "error: out of memory\n")
+
+
 def test_internal_error_is_not_a_negative_verdict(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("solver fault")
