@@ -11,6 +11,7 @@ from listsep.assignments import (
     SeparationParams,
     is_proper_coloring,
     is_valid_assignment,
+    mask_of,
 )
 from listsep.constructions import build_gadget35
 from listsep.graph import Graph, complete_graph, induced_subgraph, path_graph
@@ -30,10 +31,14 @@ def test_list_assignment_basics():
     L = ListAssignment.from_sets([{1, 2, 3}, {1, 2, 3}])
     assert L == ListAssignment([0b1110, 0b1110])
     assert hash(L) == hash(ListAssignment([0b1110, 0b1110]))
+    assert L != [0b1110, 0b1110]
+    assert repr(L) == "ListAssignment(0:[1, 2, 3], 1:[1, 2, 3])"
     assert L.colors(0) == (1, 2, 3)
     assert L.size(1) == 3
     with pytest.raises(ValueError):
         ListAssignment.from_sets([set(), {1}])
+    with pytest.raises(ValueError, match="^negative color -1$"):
+        mask_of([2, -1])
     # A negative mask is no color set: colors_of(-1) would never end.
     for bad in (0, -1):
         with pytest.raises(ValueError):
@@ -122,6 +127,8 @@ def test_proper_coloring_checks():
     assert is_proper_coloring(K2, L2, {0: 1, 1: 2})
     with pytest.raises(ValueError):
         is_proper_coloring(K2, L2, {0: 1})
+    with pytest.raises(ValueError, match="^assignment covers 1 vertices, graph has 2$"):
+        is_proper_coloring(K2, L, {0: 5, 1: 5})
 
 
 def test_induced_subgraph_ids_carry_their_lists():

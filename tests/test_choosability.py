@@ -99,7 +99,11 @@ def test_low_degree_vertices_are_padded_into_witnesses():
     verdict = decide_choosable(g, p)
     assert verdict.verdict == NOT_CHOOSABLE
     assert verify_not_choosable(g, verdict.witness, p)
-    assert verdict.witness.size(4) >= 3
+    # Its block starts at the first color above every list of the core.
+    core = 0
+    for v in range(4):
+        core |= verdict.witness.mask(v)
+    assert verdict.witness.mask(4) == 0b111 << core.bit_length()
 
 
 def test_padded_vertices_share_fresh_blocks():
@@ -372,10 +376,10 @@ def reference_tight_assignments(h: Graph, p: SeparationParams, meter: Meter):
             else:
                 levels.pop()
                 continue
-            now = max(before, m.bit_length())
             if i + 1 == n:
-                yield tuple(masks), now
+                yield tuple(masks)
             else:
+                now = max(before, m.bit_length())
                 levels.append((iter(reference_candidate_sets(now, sizes[i + 1])), now))
 
 
@@ -398,13 +402,13 @@ def seeded_cases(count: int, seed: int):
 
 
 def enumeration_record(enumerate_on, h: Graph, p: SeparationParams, max_nodes: int):
-    """Every (masks, used, nodes charged) the enumeration yields within
+    """Every (masks, nodes charged) the enumeration yields within
     max_nodes, then the nodes charged when it ended."""
     meter = Meter(max_nodes=max_nodes)
     out = []
     try:
-        for masks, used in enumerate_on(h, p, meter):
-            out.append((masks, used, meter.nodes))
+        for masks in enumerate_on(h, p, meter):
+            out.append((masks, meter.nodes))
     except BudgetExceeded:
         pass
     return out, meter.nodes
@@ -420,16 +424,13 @@ CUT_CASES = [
 
 
 def test_enumeration_matches_reference():
-    regimes, shared = set(), {}
+    regimes = set()
     cases = [(h, p, 3_000) for h, p in seeded_cases(300, 2024)] + [
         (g, p, max_nodes) for g, p, full in CUT_CASES for max_nodes in range(full + 1)
     ]
     for h, p, max_nodes in cases:
         regimes.add(p.regime)
-        mine = enumeration_record(
-            lambda h, p, meter: choosability._tight_assignments(h, p, meter, shared),
-            h, p, max_nodes,
-        )
+        mine = enumeration_record(choosability._tight_assignments, h, p, max_nodes)
         assert mine == enumeration_record(reference_tight_assignments, h, p, max_nodes)
     assert regimes == {"union", "intersection"}
 
@@ -479,31 +480,26 @@ def dense_enumeration(enumerate_on):
 
 
 def test_enumeration_matches_reference_on_dense_graphs():
-    shared = {}
-    mine = dense_enumeration(
-        lambda h, p, meter: choosability._tight_assignments(h, p, meter, shared)
-    )
+    mine = dense_enumeration(choosability._tight_assignments)
     assert mine == dense_enumeration(reference_tight_assignments)
     assert all(masks for masks, _ in mine[:2])    # K5 and the icosahedron yield
 
 
-def test_memoised_bitsets_match_their_definition():
+def test_memoised_bitsets_match_their_definition(monkeypatch):
     """Each entry table[f, c] of a `_CandidateTable` is the bitset of its
     masks m with |m & f| <= c, whatever else that table holds for the
     same f, and each entry table.trimmed[f, bits, c] the bitset of those
-    with |m & (f ^ x)| <= c for some color x of bits."""
-    shared = {}
-
-    def enumerate_on(h, p, meter):
-        return choosability._tight_assignments(h, p, meter, shared)
-
-    dense_enumeration(enumerate_on)
+    with |m & (f ^ x)| <= c for some color x of bits. The registry starts
+    empty, so only the entries these enumerations make are checked."""
+    tables = choosability._Tables()
+    monkeypatch.setattr(choosability, "_tables", tables)
+    dense_enumeration(choosability._tight_assignments)
     # Of the dense cases, only K1,1,3 reaches a profile with a list above k
     # colors next to a ready vertex; these reach many such profiles.
     for h, p in seeded_cases(100, 2024):
-        enumeration_record(enumerate_on, h, p, 3_000)
+        enumeration_record(choosability._tight_assignments, h, p, 3_000)
     entries = trimmed = 0
-    for (used, size), table in shared.items():
+    for (used, size), table in tables.items():
         fresh = choosability._CandidateTable(used, size)
         assert table.masks == fresh.masks
         for (f, c), bits in table.items():
@@ -521,7 +517,7 @@ def test_memoised_bitsets_match_their_definition():
             )
             trimmed += 1
     assert entries and trimmed
-    assert {c for table in shared.values() for _, c in table} - {0}
+    assert {c for table in tables.values() for _, c in table} - {0}
 
 
 def test_table_masks_match_reference_sets():
@@ -565,9 +561,6 @@ def test_decisions_match_reference_enumeration(monkeypatch):
         (complete_graph(4), SeparationParams(3, 1)),
     ]
 
-    def reference(h, p, meter, candidates):
-        return reference_tight_assignments(h, p, meter)
-
     # Each run is (graph, params, node limit), and gets a fresh meter.
     runs = [(g, p, max_nodes) for max_nodes in (1_000, 50_000) for g, p in cases]
     for g, p, full in CUT_CASES:
@@ -576,9 +569,28 @@ def test_decisions_match_reference_enumeration(monkeypatch):
         runs += [(g, p, max_nodes) for max_nodes in range(full + 1)]
     mine = [decide_choosable(g, p, Meter(max_nodes)) for g, p, max_nodes in runs]
     with monkeypatch.context() as patch:
-        patch.setattr(choosability, "_tight_assignments", reference)
+        patch.setattr(choosability, "_tight_assignments", reference_tight_assignments)
         assert mine == [decide_choosable(g, p, Meter(max_nodes))
                         for g, p, max_nodes in runs]
+
+
+def test_verdicts_do_not_depend_on_earlier_decisions(monkeypatch):
+    """Decisions share the candidate tables of the process, so each must get
+    the verdict it gets on an empty registry, also after the same decisions
+    in reverse order have filled it."""
+    cases = [(g, p) for g, p, _ in CUT_CASES] + list(seeded_cases(60, 2025)) + [
+        (complete_bipartite_graph(3, 3), SeparationParams(3, 5)),
+        (complete_graph(5), SeparationParams(3, 5)),
+    ]
+    alone = []
+    for g, p in cases:
+        monkeypatch.setattr(choosability, "_tables", choosability._Tables())
+        alone.append(decide_choosable(g, p, Meter(50_000)))
+    monkeypatch.setattr(choosability, "_tables", choosability._Tables())
+    for g, p in reversed(cases):
+        decide_choosable(g, p, Meter(50_000))
+    assert [decide_choosable(g, p, Meter(50_000)) for g, p in cases] == alone
+    assert {v.verdict for v in alone} == {CHOOSABLE, NOT_CHOOSABLE, RESOURCE_LIMIT}
 
 
 def test_every_solve_goes_through_solve(monkeypatch):
@@ -600,7 +612,7 @@ def reference_decide(g: Graph, p: SeparationParams, meter: Meter):
     """`decide_choosable` without the coloring pool: every tight assignment
     is solved. The meter is fresh, so its count is the decision's."""
     core_ids = greedy_kernel(g, p.k).kernel_vertices
-    tested, candidates = 0, {}
+    tested = 0
     try:
         for size in range(len(core_ids), 0, -1):
             for subset in itertools.combinations(core_ids, size):
@@ -608,15 +620,13 @@ def reference_decide(g: Graph, p: SeparationParams, meter: Meter):
                 h, kept = induced_subgraph(g, subset)
                 if min(h.degree(v) for v in range(h.n)) < p.k:
                     continue
-                for masks, used in choosability._tight_assignments(
-                    h, p, meter, candidates
-                ):
+                for masks in choosability._tight_assignments(h, p, meter):
                     tested += 1
                     verdict = solve(h, ListAssignment(masks), meter).verdict
                     if verdict == RESOURCE_LIMIT:
                         raise BudgetExceeded
                     if verdict == UNSAT:
-                        witness = choosability._pad_witness(g, kept, masks, used, p)
+                        witness = choosability._pad_witness(g, kept, masks, p)
                         return ChoosabilityVerdict(
                             NOT_CHOOSABLE, witness, tested, meter.nodes, tested
                         )

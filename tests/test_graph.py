@@ -196,3 +196,9 @@ def test_named_graphs():
     kb = complete_bipartite_graph(2, 4)
     assert kb.n == 6 and kb.m == 8
     assert not kb.has_edge(0, 1)
+    assert kb == Graph(6, kb.edges()[::-1])
+    assert hash(kb) == hash(Graph(6, kb.edges()[::-1]))
+    assert kb != kb.edges()
+    assert repr(kb) == "Graph(n=6, m=8)"
+    with pytest.raises(ValueError, match="^cycle needs at least 3 vertices$"):
+        cycle_graph(2)
