@@ -19,8 +19,14 @@ returned as the witness, padded back to the full graph.
 
 An assignment is solved only when none of the last few proper colorings
 found on its subgraph colors it from its lists; such a coloring certifies
-it as it stands. So every verdict and witness is that of solving each
-assignment, and node counts can only fall.
+it as it stands. So every NOT_CHOOSABLE verdict and witness is that of
+solving each assignment, and node counts can only fall.
+
+Before any of that, the core gets one try at an Alon-Tarsi certificate
+(`alon_tarsi`), which proves it CHOOSABLE without enumerating anything.
+It fires only when the answer is CHOOSABLE, so a NOT_CHOOSABLE verdict and
+its witness are those of the enumeration; a decision that ran out of its
+budget may become CHOOSABLE.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .alon_tarsi import find_certificate
 from .assignments import (
     CheckResult,
     Coloring,
@@ -61,6 +68,10 @@ class ChoosabilityVerdict:
     assignments_tested: int
     nodes_used: int
     solves: int    # assignments solved, not fitted by a pooled coloring
+    # The Alon-Tarsi exponent vectors that proved a CHOOSABLE verdict, one
+    # entry per k-core vertex in increasing id order; None if it was
+    # enumerated.
+    certificate: tuple[tuple[int, ...], ...] | None = None
 
 
 class _CandidateTable(dict):
@@ -575,20 +586,25 @@ def decide_choosable(
 ) -> ChoosabilityVerdict:
     """Decide whether g is (k,t)-choosable.
 
-    Exhaustive within the documented enumeration (sensible for n <= 8,
-    k <= 3, t <= 6); larger inputs should pass a `meter` (the default is
-    `Meter(DEFAULT_MAX_NODES)`) and may receive RESOURCE_LIMIT. The
-    NOT_CHOOSABLE witness is the first one in the fixed enumeration order,
-    so verdicts and witnesses are deterministic.
+    The k-core is first given to `find_certificate`, under the same meter.
+    If it finds an Alon-Tarsi certificate the verdict is CHOOSABLE with no
+    assignment tested and the vectors in `certificate`. Otherwise the
+    decision is exhaustive within the documented enumeration (sensible for
+    n <= 8, k <= 3, t <= 6); larger inputs should pass a `meter` (the
+    default is `Meter(DEFAULT_MAX_NODES)`) and may receive RESOURCE_LIMIT.
+    The NOT_CHOOSABLE witness is the first one in the fixed enumeration
+    order, so verdicts and witnesses are deterministic.
 
     Each subset of the core drawn is one node, as is each size profile and
     candidate list the enumeration draws, so the meter stops every walk.
     An assignment that one of the subgraph's pooled colorings colors is
     counted as tested and costs no node; every other one is solved, charged
     to the same meter, and a coloring the solve finds joins the pool.
-    So the verdict and witness are those of solving every assignment, and
-    `nodes_used`, the nodes the decision charged, is never more; `solves`
-    counts the solves.
+    So a NOT_CHOOSABLE verdict and its witness are those of solving every
+    assignment, as is a CHOOSABLE one that no certificate gave, and the
+    enumeration charges no more nodes than solving every assignment would.
+    `nodes_used` is the nodes the decision charged, the certificate
+    search's included; `solves` counts the solves.
 
     The candidate tables are built once per process and shared by every
     decision (`_Tables` gives the memory they keep); they depend on their
@@ -601,6 +617,12 @@ def decide_choosable(
     nbrs = g.adjacency
     tested = solves = 0
     try:
+        if core_ids:
+            core, _ = induced_subgraph(g, core_ids)
+            vectors = find_certificate(core, p, meter)
+            if vectors is not None:
+                return ChoosabilityVerdict(
+                    CHOOSABLE, None, 0, meter.nodes - start, 0, vectors)
         for size in range(len(core_ids), 0, -1):
             for subset in itertools.combinations(core_ids, size):
                 meter.spend(1)    # each subset drawn is one node

@@ -283,6 +283,8 @@ def _cmd_check_choosable(args, out: _Out) -> int:
     out.emit("assignments_tested", verdict.assignments_tested)
     out.emit("solves", verdict.solves)
     out.emit("nodes", verdict.nodes_used)
+    if verdict.certificate is not None:
+        out.emit("certificate", "alon-tarsi")
     if verdict.witness is not None and args.emit_witness:
         with open(args.emit_witness, "w", encoding="utf-8") as fh:
             fh.write(format_lists(verdict.witness))

@@ -131,33 +131,34 @@ class _Search:
         the same keys, and the (key, vertex) tuples break ties by the
         lowest id, so it picks what the scan picks.
         """
-        trail = self.trail
         key = self.key
-        end = len(trail)
-        grown = end - self.seen
-        self.seen = end
-        heap = self.heap
-        if grown > self.step:
-            self.heap = None
-            self.streak = 0
-        elif heap is not None or self.streak >= REBUILD_SCANS:
-            if heap is None:
-                heap = self.heap = [(k, v) for v, k in enumerate(key)
-                                    if k != INF]
-                heapify(heap)
+        if self.step:    # from 16 vertices up; below, every pick scans
+            trail = self.trail
+            end = len(trail)
+            grown = end - self.seen
+            self.seen = end
+            heap = self.heap
+            if grown > self.step:
+                self.heap = None
+                self.streak = 0
+            elif heap is not None or self.streak >= REBUILD_SCANS:
+                if heap is None:
+                    heap = self.heap = [(k, v) for v, k in enumerate(key)
+                                        if k != INF]
+                    heapify(heap)
+                else:
+                    for w, _ in trail[end - grown:]:
+                        k = key[w]
+                        if k != INF:
+                            heappush(heap, (k, w))
+                while heap:
+                    k, v = heap[0]
+                    if key[v] == k:
+                        return v
+                    heappop(heap)
+                return -1
             else:
-                for w, _ in trail[end - grown:]:
-                    k = key[w]
-                    if k != INF:
-                        heappush(heap, (k, w))
-            while heap:
-                k, v = heap[0]
-                if key[v] == k:
-                    return v
-                heappop(heap)
-            return -1
-        else:
-            self.streak += 1
+                self.streak += 1
         best = min(key) if key else INF    # min() with default= is slower
         return -1 if best == INF else key.index(best)
 

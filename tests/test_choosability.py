@@ -38,6 +38,12 @@ from listsep.graph import (
 from listsep.solver import UNSAT, solve
 
 
+def no_certificate(monkeypatch):
+    """Leave every decision to the enumeration: no core gets an Alon-Tarsi
+    certificate, and trying costs no node."""
+    monkeypatch.setattr(choosability, "find_certificate", lambda h, p, meter: None)
+
+
 def oracle_box_witness(g: Graph, p: SeparationParams, extra_colors=2, extra_size=1):
     """Brute force without canonicalization: scan every assignment whose lists
     come from a fixed box (sizes k..k+extra_size over k+extra_colors colors)
@@ -151,21 +157,34 @@ def test_budget_exhaustion_is_reported_not_coerced():
     assert verdict.witness is None
 
 
-def test_budget_stops_the_subset_and_profile_walks():
-    # No size profile of these passes the edge test, so the decision draws
-    # subsets and profiles only: 4,095 + 1 and 127 + 22,194 of them.
-    for g, p, nodes in ((cycle_graph(12), SeparationParams(2, 5), 4_096),
-                        (complete_graph(7), SeparationParams(3, 13), 22_321)):
+def test_budget_stops_the_subset_and_profile_walks(monkeypatch):
+    # No size profile of these passes the edge test, so the enumeration
+    # draws subsets and profiles only: 4,095 + 1 and 127 + 22,194 of them.
+    # Both have a certificate, found in 316 and 575 nodes, which the budget
+    # stops too.
+    cases = ((cycle_graph(12), SeparationParams(2, 5), 316, 4_096),
+             (complete_graph(7), SeparationParams(3, 13), 575, 22_321))
+    for g, p, certified, _ in cases:
+        verdict = decide_choosable(g, p)
+        assert (verdict.verdict, verdict.assignments_tested, verdict.nodes_used) == (
+            CHOOSABLE, 0, certified)
+        assert verdict.certificate
+        verdict = decide_choosable(g, p, Meter(max_nodes=100))
+        assert (verdict.verdict, verdict.nodes_used) == (RESOURCE_LIMIT, 101)
+    no_certificate(monkeypatch)
+    for g, p, _, nodes in cases:
         verdict = decide_choosable(g, p)
         assert (verdict.verdict, verdict.assignments_tested, verdict.nodes_used) == (
             CHOOSABLE, 0, nodes)
+        assert verdict.certificate is None
         verdict = decide_choosable(g, p, Meter(max_nodes=100))
         assert (verdict.verdict, verdict.nodes_used) == (RESOURCE_LIMIT, 101)
 
 
 def test_only_subsets_of_minimum_degree_k_get_a_subgraph(monkeypatch):
     # Of the 4,095 subsets of C12 only the whole cycle has minimum degree 2;
-    # the others are drawn and charged but build no subgraph.
+    # the others are drawn and charged but build no subgraph. The core's
+    # certificate search, stubbed out here, builds one more.
     calls = []
 
     def counted(*args):
@@ -173,9 +192,10 @@ def test_only_subsets_of_minimum_degree_k_get_a_subgraph(monkeypatch):
         return induced_subgraph(*args)
 
     monkeypatch.setattr(choosability, "induced_subgraph", counted)
+    no_certificate(monkeypatch)
     verdict = decide_choosable(cycle_graph(12), SeparationParams(2, 5))
     assert (verdict.verdict, verdict.nodes_used) == (CHOOSABLE, 4_096)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_clock_is_read_once_per_1024_nodes(monkeypatch):
@@ -187,46 +207,63 @@ def test_clock_is_read_once_per_1024_nodes(monkeypatch):
 
     monkeypatch.setattr(budget, "time", SimpleNamespace(monotonic=monotonic))
     p = SeparationParams(3, 5)
-    for g, max_nodes, expected in ((complete_bipartite_graph(3, 3), 10_000_000, 284),
-                                   (complete_graph(5), 100_000, 98)):
+    # K5 has no certificate; K3,3 has one, so its enumeration runs without.
+    for g, max_nodes, expected in ((complete_graph(5), 100_000, 98),
+                                   (complete_bipartite_graph(3, 3), 10_000_000, 284)):
         reads.clear()
         verdict = decide_choosable(g, p, Meter(max_nodes, max_seconds=3600))
         assert len(reads) == 1 + min(verdict.nodes_used, max_nodes) // CLOCK_EVERY
         assert len(reads) == expected
+        no_certificate(monkeypatch)
 
 
-def test_metering_leaves_counts_of_runs_within_budget():
+def test_metering_leaves_counts_of_runs_within_budget(monkeypatch):
+    # The certificate, then the enumeration it saves.
     g, p = complete_bipartite_graph(3, 3), SeparationParams(3, 5)
-    for meter in (None, Meter(max_nodes=289_806, max_seconds=3600)):
-        verdict = decide_choosable(g, p, meter)
-        assert verdict.verdict == CHOOSABLE
-        assert (verdict.assignments_tested, verdict.nodes_used) == (216, 289_806)
+    for tested, nodes in ((0, 30), (216, 289_806)):
+        for meter in (None, Meter(max_nodes=nodes, max_seconds=3600)):
+            verdict = decide_choosable(g, p, meter)
+            assert verdict.verdict == CHOOSABLE
+            assert (verdict.assignments_tested, verdict.nodes_used) == (tested, nodes)
+        no_certificate(monkeypatch)
 
 
-def test_budgeted_counts_of_graphs_past_the_budget():
+def test_budgeted_counts_of_graphs_past_the_budget(monkeypatch):
+    # K5 and the icosahedron have no certificate. K4,4 has one, found in
+    # 184 nodes; without it the enumeration runs out of the budget.
     p = SeparationParams(3, 5)
+    k44 = complete_bipartite_graph(4, 4)
+    verdict = decide_choosable(k44, p, Meter(max_nodes=400_000))
+    assert (verdict.verdict, verdict.assignments_tested, verdict.nodes_used) == (
+        CHOOSABLE, 0, 184)
+    assert verdict.certificate == ((2,) * 8,)
     for g, tested in ((complete_graph(5), 711), (icosahedron_graph(), 2_576),
-                      (complete_bipartite_graph(4, 4), 0)):
+                      (k44, 0)):
+        if g is k44:
+            no_certificate(monkeypatch)
         verdict = decide_choosable(g, p, Meter(max_nodes=400_000))
         assert (verdict.verdict, verdict.assignments_tested, verdict.nodes_used) == (
             RESOURCE_LIMIT, tested, 400_001)
         assert verdict.witness is None
+        assert verdict.certificate is None
 
 
 def test_decisions_sharing_a_meter_charge_it_in_turn():
+    # Each decision tries a certificate first (10 and 103 nodes), finds
+    # none, and enumerates (15 and 21 nodes).
     c5, k4 = cycle_graph(5), complete_graph(4)
     meter = Meter()
-    for g, p, used in ((c5, SeparationParams(2, 2), 15),
-                       (k4, SeparationParams(3, 3), 21)):
+    for g, p, used in ((c5, SeparationParams(2, 2), 25),
+                       (k4, SeparationParams(3, 3), 124)):
         verdict = decide_choosable(g, p, meter)
         assert (verdict.verdict, verdict.nodes_used) == (NOT_CHOOSABLE, used)
-    assert meter.nodes == 36
-    # The second decision gets what the first left of 30 nodes: 15, and it
-    # stops on the 16th.
+    assert meter.nodes == 149
+    # The second decision gets what the first left of 30 nodes: 5, and it
+    # stops on the 6th, inside its certificate search.
     meter = Meter(30)
-    assert decide_choosable(c5, SeparationParams(2, 2), meter).nodes_used == 15
+    assert decide_choosable(c5, SeparationParams(2, 2), meter).nodes_used == 25
     verdict = decide_choosable(k4, SeparationParams(3, 3), meter)
-    assert (verdict.verdict, verdict.nodes_used) == (RESOURCE_LIMIT, 16)
+    assert (verdict.verdict, verdict.nodes_used) == (RESOURCE_LIMIT, 6)
     assert meter.nodes == 31
 
 
@@ -554,6 +591,7 @@ def test_last_mask_passes_every_cut():
 
 
 def test_decisions_match_reference_enumeration(monkeypatch):
+    no_certificate(monkeypatch)
     cases = list(seeded_cases(60, 2025)) + [
         (complete_graph(5), SeparationParams(3, 5)),
         (complete_bipartite_graph(3, 3), SeparationParams(3, 5)),
@@ -603,14 +641,15 @@ def test_every_solve_goes_through_solve(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(choosability, "solve", counted)
+    no_certificate(monkeypatch)    # K3,3 has one, and its decision no solve
     verdict = decide_choosable(complete_bipartite_graph(3, 3), SeparationParams(3, 5))
     assert verdict.verdict == CHOOSABLE
     assert len(calls) == verdict.solves == 18
 
 
 def reference_decide(g: Graph, p: SeparationParams, meter: Meter):
-    """`decide_choosable` without the coloring pool: every tight assignment
-    is solved. The meter is fresh, so its count is the decision's."""
+    """`decide_choosable` without the coloring pool or the certificate:
+    every tight assignment is solved. The meter is fresh, so its count is the decision's."""
     core_ids = greedy_kernel(g, p.k).kernel_vertices
     tested = 0
     try:
@@ -665,6 +704,7 @@ def test_pool_matches_running_every_assignment(monkeypatch):
 
     monkeypatch.setattr(choosability, "induced_subgraph", recorded_subgraph)
     monkeypatch.setattr(choosability, "_ColoringPool", CheckedPool)
+    no_certificate(monkeypatch)
     runs = [(g, p, max_nodes) for g, p in seeded_cases(60, 2027)
             for max_nodes in (1_000, 50_000)]
     for g, p, _ in CUT_CASES:

@@ -426,13 +426,16 @@ def test_check_choosable_exit_codes(tmp_path):
         main(["check-choosable", c5, "--k", "2", "--t", "2", "--max-nodes", "2"])
         == EXIT_RESOURCE
     )
-    # The enumeration walks all 1,200 core vertices deep without recursing.
-    c1200 = write(tmp_path, "c1200.txt", format_graph(cycle_graph(1200)))
-    assert (
-        main(["check-choosable", c1200, "--k", "2", "--t", "2",
-              "--max-nodes", "20000"])
-        == EXIT_RESOURCE
-    )
+    # The certificate's DP runs along all 1,200 edges, and on the odd cycle,
+    # which has none, the enumeration walks all 1,201 core vertices deep to
+    # its witness, neither of them recursing.
+    for n, code in ((1200, EXIT_OK), (1201, EXIT_NEGATIVE)):
+        cycle = write(tmp_path, f"c{n}.txt", format_graph(cycle_graph(n)))
+        assert (
+            main(["check-choosable", cycle, "--k", "2", "--t", "2",
+                  "--max-nodes", "20000"])
+            == code
+        )
 
 
 def test_verify_witness_flow(tmp_path):
@@ -530,19 +533,27 @@ def test_audit_tuples_runs_the_integer_cross_check(capsys, monkeypatch):
     assert "overall: FAIL" in out
 
 
-def test_machine_output_is_stable(capsys, tmp_path):
+def test_machine_output_is_stable(capsys, tmp_path, monkeypatch):
     c4 = write(tmp_path, "c4.txt", "4 4\n0 1\n1 2\n2 3\n3 0\n")
     argv = ["--format", "machine", "check-choosable", c4, "--k", "2", "--t", "2"]
-    assert main(argv) == EXIT_OK
-    first = capsys.readouterr().out
-    assert main(argv) == EXIT_OK
-    second = capsys.readouterr().out
-    assert first == second
-    # 17 tight assignments, of which a pooled coloring settled 9.
-    assert first.splitlines() == [
-        "verdict=CHOOSABLE", "assignments_tested=17", "solves=8", "nodes=175"]
-    assert main(argv[2:]) == EXIT_OK
-    assert "solves: 8" in capsys.readouterr().out.splitlines()
+    # An Alon-Tarsi certificate, then the enumeration it saves: 17 tight
+    # assignments, of which a pooled coloring settled 9. The human format
+    # prints the same keys and values.
+    for lines in (["verdict=CHOOSABLE", "assignments_tested=0", "solves=0",
+                   "nodes=9", "certificate=alon-tarsi"],
+                  ["verdict=CHOOSABLE", "assignments_tested=17", "solves=8",
+                   "nodes=175"]):
+        assert main(argv) == EXIT_OK
+        first = capsys.readouterr().out
+        assert main(argv) == EXIT_OK
+        second = capsys.readouterr().out
+        assert first == second
+        assert first.splitlines() == lines
+        assert main(argv[2:]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            line.replace("=", ": ") for line in lines]
+        monkeypatch.setattr(listsep.choosability, "find_certificate",
+                            lambda h, p, meter: None)
 
 
 def test_mad_and_sparse_and_kernel(tmp_path, capsys):
