@@ -11,6 +11,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from test_choosability import no_certificate
 
 import listsep.choosability
 import listsep.cli
@@ -552,8 +553,7 @@ def test_machine_output_is_stable(capsys, tmp_path, monkeypatch):
         assert main(argv[2:]) == EXIT_OK
         assert capsys.readouterr().out.splitlines() == [
             line.replace("=", ": ") for line in lines]
-        monkeypatch.setattr(listsep.choosability, "find_certificate",
-                            lambda h, p, meter: None)
+        no_certificate(monkeypatch)
 
 
 def test_mad_and_sparse_and_kernel(tmp_path, capsys):
