@@ -34,12 +34,11 @@ vector tried and every DP state is one node charged to the meter.
 from __future__ import annotations
 
 import itertools
-from heapq import heappop, heappush
 from typing import Iterator, Sequence
 
 from .assignments import SeparationParams
 from .budget import Meter
-from .graph import Graph
+from .graph import Graph, greedy_kernel
 
 # The most exponent vectors tried on one profile before the cover gives up.
 # K4 at (3,3) has 10 vectors below its profile, K3,3 and K4,4 at (3,5) find
@@ -159,30 +158,23 @@ def _minimal_profiles(h: Graph, p: SeparationParams,
 def _vectors(h: Graph, s: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Exponent vectors d <= s - 1 with sum d = m, lazily.
 
-    The vertices are first peeled lowest id first while one has at most
-    s_v - 1 edges left, each taking those edges as its exponent: when that
-    empties h the one vector is the out-degree sequence of an acyclic
-    orientation, whose coefficient is +-1. Otherwise the vertices left get
-    every split of the edges among them below s - 1, each vertex's sizes in
-    order of distance from a balanced share (the largest even share under
-    the bounds, one more for the first vertices that take the remainder).
+    The vertices are first peeled by `greedy_kernel(h, s)`, lowest id first
+    while one has at most s_v - 1 edges left, each taking those edges as its
+    exponent: when that empties h the one vector is the out-degree sequence
+    of an acyclic orientation, whose coefficient is +-1. Otherwise the
+    vertices left get every split of the edges among them below s - 1, each
+    vertex's sizes in order of distance from a balanced share (the largest
+    even share under the bounds, one more for the first vertices that take
+    the remainder).
     """
-    n, nbrs = h.n, h.adjacency
-    deg = [len(nb) for nb in nbrs]
-    d = [0] * n
-    alive = [True] * n
-    heap = [v for v in range(n) if deg[v] < s[v]]    # sorted, hence a heap
-    while heap:
-        v = heappop(heap)
+    peel = greedy_kernel(h, s)
+    rest = peel.kernel_vertices
+    d = [0] * h.n
+    alive = [True] * h.n
+    for v in peel.order:    # v takes its edges to the vertices still there
         alive[v] = False
-        d[v] = deg[v]
-        for u in nbrs[v]:
-            if alive[u]:
-                deg[u] -= 1
-                if deg[u] == s[u] - 1:
-                    heappush(heap, u)
-    rest = [v for v in range(n) if alive[v]]
-    need = sum(deg[v] for v in rest) // 2
+        d[v] = sum(map(alive.__getitem__, h.adjacency[v]))
+    need = h.m - sum(d)
     hi = [s[v] - 1 for v in rest]
     if sum(hi) < need:
         return

@@ -586,10 +586,11 @@ def decide_choosable(
 ) -> ChoosabilityVerdict:
     """Decide whether g is (k,t)-choosable.
 
-    The k-core is first given to `find_certificate`, under the same meter.
-    If it finds an Alon-Tarsi certificate the verdict is CHOOSABLE with no
-    assignment tested and the vectors in `certificate`. Otherwise the
-    decision is exhaustive within the documented enumeration (sensible for
+    The k-core's subgraph is built once and given to `find_certificate`,
+    under the same meter; an Alon-Tarsi certificate makes the verdict
+    CHOOSABLE with no assignment tested and the vectors in `certificate`.
+    Otherwise that subgraph is the first subset of the documented
+    enumeration, and the decision is exhaustive within it (sensible for
     n <= 8, k <= 3, t <= 6); larger inputs should pass a `meter` (the
     default is `Meter(DEFAULT_MAX_NODES)`) and may receive RESOURCE_LIMIT.
     The NOT_CHOOSABLE witness is the first one in the fixed enumeration
@@ -618,8 +619,8 @@ def decide_choosable(
     tested = solves = 0
     try:
         if core_ids:
-            core, _ = induced_subgraph(g, core_ids)
-            vectors = find_certificate(core, p, meter)
+            core = induced_subgraph(g, core_ids)
+            vectors = find_certificate(core[0], p, meter)
             if vectors is not None:
                 return ChoosabilityVerdict(
                     CHOOSABLE, None, 0, meter.nodes - start, 0, vectors)
@@ -630,7 +631,7 @@ def decide_choosable(
                 inside = set(subset)
                 if any(len(inside.intersection(nbrs[v])) < p.k for v in subset):
                     continue
-                h, kept = induced_subgraph(g, subset)
+                h, kept = core if size == len(core_ids) else induced_subgraph(g, subset)
                 pool = _ColoringPool()
                 for masks in _tight_assignments(h, p, meter):
                     tested += 1

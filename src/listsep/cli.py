@@ -18,7 +18,6 @@ import argparse
 import re
 import sys
 import traceback
-from fractions import Fraction
 
 from .assignments import ListAssignment, SeparationParams, is_valid_assignment
 from .budget import RESOURCE_LIMIT, Meter
@@ -211,12 +210,12 @@ def parse_lists_file(
             )
         lists[v] = colors
     names = sorted(set().union(*lists))
-    bit = {c: 1 << i for i, c in enumerate(names)}
+    rank = {c: i for i, c in enumerate(names)}
     masks = []
     for colors in lists:
         m = 0
         for c in colors:
-            m |= bit[c]
+            m |= 1 << rank[c]
         masks.append(m)
     return ListAssignment(masks), tuple(names)
 

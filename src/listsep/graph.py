@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import compress
-from typing import Iterable
+from typing import Iterable, Sequence
 
 # The most vertices a graph may have; a graph file or book past it is a
 # usage error, refused before anything is allocated.
@@ -154,21 +154,27 @@ class KernelResult:
         return not self.kernel_vertices
 
 
-def greedy_kernel(g: Graph, k: int) -> KernelResult:
-    """Delete the lowest-id vertex of degree < k until none is left.
+def greedy_kernel(g: Graph, k: int | Sequence[int]) -> KernelResult:
+    """Delete the lowest-id vertex of degree below its limit until none is left.
 
-    The survivors form the k-core. An empty kernel certifies that every
-    (k,t)-assignment of g is colorable: replaying the removal order
-    backwards always leaves a free color. Degrees only fall, so a vertex
-    stays removable once it is; a min-heap of the removable vertices
+    k is every vertex's limit, or a sequence of one limit per vertex. With
+    one limit k the survivors form the k-core. An empty kernel certifies
+    that every (k,t)-assignment of g is colorable: replaying the removal
+    order backwards always leaves a free color. Degrees only fall, so a
+    vertex stays removable once it is; a min-heap of the removable vertices
     therefore yields the same order as rescanning from id 0 after each
-    removal, in O((n + m) log n). Raises ValueError for k < 1, where the
-    peel certifies nothing.
+    removal, in O((n + m) log n). Raises ValueError for a sequence whose
+    length is not n, and for a limit below 1, where the peel certifies
+    nothing.
     """
-    if k < 1:
+    limit = [k] * g.n if isinstance(k, int) else list(k)
+    if len(limit) != g.n:
+        raise ValueError(f"{len(limit)} limits for {g.n} vertices")
+    if min(limit, default=1) < 1 or isinstance(k, int) and k < 1:
         raise ValueError("k must be at least 1")
-    degree = [len(nbrs) for nbrs in g._nbrs]
-    heap = [v for v in range(g.n) if degree[v] < k]   # sorted, hence a heap
+    # A vertex is removable while its degree less its limit is negative.
+    slack = [len(nbrs) - lim for nbrs, lim in zip(g._nbrs, limit)]
+    heap = [v for v in range(g.n) if slack[v] < 0]   # sorted, hence a heap
     alive = [True] * g.n
     order = []
     while heap:
@@ -177,8 +183,8 @@ def greedy_kernel(g: Graph, k: int) -> KernelResult:
         order.append(v)
         for u in g._nbrs[v]:
             if alive[u]:
-                degree[u] -= 1
-                if degree[u] == k - 1:
+                slack[u] -= 1
+                if slack[u] == -1:
                     heappush(heap, u)
     return KernelResult(tuple(compress(range(g.n), alive)), tuple(order))
 

@@ -221,6 +221,22 @@ def test_parse_lists_file(tmp_path):
     assert peak < 1 << 20
 
 
+def test_parse_lists_file_keeps_no_mask_per_color(tmp_path):
+    # 10,000 lists of 3 fresh colors: the lists' masks take about 19 MB, and
+    # one single-bit mask per color, up to 30,000 bits wide, about 56 MB more.
+    text = "".join(f"{v}: {3 * v} {3 * v + 1} {3 * v + 2}\n" for v in range(10_000))
+    path = write(tmp_path, "fresh.l", text)
+    tracemalloc.start()
+    try:
+        lists, names = parse_lists_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lists.colors(9_999) == (29_997, 29_998, 29_999)
+    assert names == tuple(range(30_000))
+    assert peak < 40 << 20
+
+
 @pytest.mark.parametrize(
     "content,universe,line,fragment",
     [

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 # The names the package root once re-exported; each is now imported from
 # its submodule only.
@@ -50,3 +52,15 @@ def test_names_come_only_from_their_submodules():
     )
     assert len(FORMER_NAMES) == 53
     assert out == "[]\nTrue True\n[]\n"
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # perfbench/spans.py replaces each (module, attribute) in WRAPPED as the
+    # module sees it, so each must be importable there.
+    spec = importlib.util.spec_from_file_location(
+        "spans", os.path.join(ROOT, "perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [(module, attr) for module, attr, _ in spans.WRAPPED
+               if not hasattr(importlib.import_module(module), attr)]
+    assert spans.WRAPPED and missing == []

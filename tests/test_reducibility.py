@@ -207,13 +207,14 @@ def test_kernel_removal_order_is_replayable():
         assert set(res.kernel_vertices) == set(range(n)) - removed
 
 
-def reference_kernel(g: Graph, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The kernel's rule by its definition: rescan from id 0 after each removal."""
+def reference_kernel(g: Graph, limits: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The kernel's rule by its definition: rescan from id 0 after each
+    removal for a vertex whose degree is below its limit."""
     degree = [g.degree(v) for v in range(g.n)]
     alive = [True] * g.n
     order = []
     while True:
-        v = next((v for v in range(g.n) if alive[v] and degree[v] < k), None)
+        v = next((v for v in range(g.n) if alive[v] and degree[v] < limits[v]), None)
         if v is None:
             return tuple(order), tuple(u for u in range(g.n) if alive[u])
         alive[v] = False
@@ -234,13 +235,24 @@ def test_kernel_order_matches_rescan_reference():
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                       if rng.random() < p])
         cases.append((g, rng.randint(0, 6)))
+    # The same graphs again, with one limit per vertex drawn from 1 to 6.
+    cases += [(g, [rng.randint(1, 6) for _ in range(g.n)]) for g, _ in cases]
     for g, k in cases:
-        if k < 1:
+        if isinstance(k, int) and k < 1:
             with pytest.raises(ValueError, match="k must be at least 1"):
                 greedy_kernel(g, k)
             continue
         res = greedy_kernel(g, k)
-        assert (res.order, res.kernel_vertices) == reference_kernel(g, k)
+        limits = [k] * g.n if isinstance(k, int) else k
+        assert (res.order, res.kernel_vertices) == reference_kernel(g, limits)
+
+
+def test_kernel_refuses_limits_it_cannot_use():
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="^2 limits for 3 vertices$"):
+        greedy_kernel(g, [1, 2])
+    with pytest.raises(ValueError, match="^k must be at least 1$"):
+        greedy_kernel(g, (2, 0, 2))
 
 
 def test_empty_kernel_certifies_choosable():
