@@ -431,33 +431,37 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter):
         cands = table.masks
         if not alive:
             return cands, 0
-        kill = 0
+        # Once the trims leave no candidate, no other test needs to run.
         for mw, bits, c in trims_p:
             if (mw | mp).bit_count() == t:
                 bits &= mp
             if bits:
                 if c is None:
                     return cands, 0
-                kill |= table.trim(mw, bits, c)
+                alive &= ~table.trim(mw, bits, c)
+        if not alive:
+            return cands, 0
         if trim_p is not None:
             lists, c = trim_p
             bits = _removable_colors(mp, lists, t)
             if bits:
                 if c is None:
                     return cands, 0
-                kill |= table.trim(mp, bits, c)
+                alive &= ~table.trim(mp, bits, c)
+                if not alive:
+                    return cands, 0
         need |= need_p & ~mp | mp & ~cover_p
         if need:    # a candidate holds all of need
             c = need.bit_count() - 1
             if c >= level.size:    # no candidate holds it all
                 return cands, 0
-            kill |= table[need, c]
+            alive &= ~table[need, c]
         if cut_p is not None:
             alive &= table[mp, cut_p]
         off &= ~mp
         if off:
             alive &= table[off, 0]
-        return cands, alive & ~kill
+        return cands, alive
 
     for sizes in itertools.product(*size_ranges):
         meter.spend(1)    # each profile drawn is one node

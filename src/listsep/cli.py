@@ -15,9 +15,11 @@ stored.
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
 import traceback
+from operator import itemgetter
 
 from .assignments import ListAssignment, SeparationParams, is_valid_assignment
 from .budget import RESOURCE_LIMIT, Meter
@@ -89,14 +91,12 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
             if (line := raw.strip()) and line[0] != "#"]
 
 
-# A line of a graph file in the plain form, the one format_graph writes:
-# two unsigned ASCII decimals, one space and a newline (text mode reads \r\n
-# and a lone \r as \n). _NOT_PLAIN finds the start of the first line that is
-# not plain, so a search stops there, and a nonempty file is plain when it
-# finds none. A fullmatch of (?:line)+ would keep backtracking state for
-# every line, about 200 bytes each.
-_PLAIN_LINE = re.compile(r"^[0-9]+ [0-9]+\n", re.MULTILINE)
-_NOT_PLAIN = re.compile(rf"^(?!{_PLAIN_LINE.pattern[1:]}|\Z)", re.MULTILINE)
+# A graph file in the plain form, the one format_graph writes: every line,
+# the header too, is two unsigned ASCII decimals, one space and a newline
+# (text mode reads \r\n and a lone \r as \n). The possessive quantifiers
+# keep no backtracking state, so a fullmatch of a file of any length takes
+# constant memory.
+_PLAIN = re.compile(r"(?:[0-9]++ [0-9]++\n)++")
 
 
 def parse_graph_file(path: str) -> Graph:
@@ -108,11 +108,13 @@ def parse_graph_file(path: str) -> Graph:
     reader, at its line.
     """
     text = _read_text(path)
-    if text and not _NOT_PLAIN.search(text):
+    if _PLAIN.fullmatch(text):
         try:
-            # int() refuses numbers past sys.get_int_max_str_digits() digits
-            # and Graph a bad edge or vertex count; the line reader says where.
-            ids = list(map(int, text.split()))
+            # JSON refuses leading zeros and numbers past
+            # sys.get_int_max_str_digits() digits, and Graph a bad edge or
+            # vertex count; the line reader reads the first and says where
+            # the others are.
+            ids = json.loads("[" + text[:-1].replace(" ", ",").replace("\n", ",") + "]")
             if len(ids) == 2 * ids[1] + 2:
                 it = iter(ids)
                 n, _ = next(it), next(it)
@@ -159,6 +161,12 @@ def _graph_by_lines(path: str, text: str) -> Graph:
         raise ParseError(path, line_no, str(exc)) from None
 
 
+# A list file in the plain form, the one format_lists writes: every line is
+# an unsigned ASCII decimal and a colon, then one or more colors, each one
+# space and an unsigned ASCII decimal, then a newline.
+_PLAIN_LISTS = re.compile(r"(?:[0-9]++:(?: [0-9]++)++\n)++")
+
+
 def parse_lists_file(
     path: str, universe: int | None = None
 ) -> tuple[ListAssignment, tuple[int, ...]]:
@@ -170,8 +178,34 @@ def parse_lists_file(
     became c. The renaming keeps every list size, union and intersection,
     and the order of the colors, so verdicts, node counts and witnesses
     (read through `names`) are those of the file's own colors.
+
+    A file in the plain form whose lines list the vertices 0, 1, 2, ... in
+    order is read in bulk; any other file, and a plain one that fails a
+    check, is read line by line. As for graph files, both give the same
+    lists and every error comes from the line reader, at its line.
     """
-    lines = _content_lines(_read_text(path))
+    text = _read_text(path)
+    if _PLAIN_LISTS.fullmatch(text) and (universe is None or universe >= 1):
+        try:
+            # Each row is [v, c1, c2, ...]. JSON refuses leading zeros and
+            # numbers past sys.get_int_max_str_digits() digits; the line
+            # reader reads the first and says where the second is.
+            rows = json.loads("[[" + text[:-1].replace(":", "").replace(" ", ",")
+                              .replace("\n", "],[") + "]]")
+        except ValueError:
+            pass
+        else:
+            if list(map(itemgetter(0), rows)) == list(range(len(rows))):
+                lists = [row[1:] for row in rows]
+                if universe is None or max(map(max, lists)) < universe:
+                    return _rank_colors(lists)
+    return _lists_by_lines(path, text, universe)
+
+
+def _lists_by_lines(
+    path: str, text: str, universe: int | None
+) -> tuple[ListAssignment, tuple[int, ...]]:
+    lines = _content_lines(text)
     if not lines:
         raise ParseError(path, 1, "empty list file")
     if universe is not None and universe < 1:
@@ -209,6 +243,11 @@ def parse_lists_file(
                 path, line_no, f"negative color {short_number(min(colors))}"
             )
         lists[v] = colors
+    return _rank_colors(lists)
+
+
+def _rank_colors(lists: list[list[int]]) -> tuple[ListAssignment, tuple[int, ...]]:
+    """The lists' masks with colors renamed by rank, and each rank's color."""
     names = sorted(set().union(*lists))
     rank = {c: i for i, c in enumerate(names)}
     masks = []

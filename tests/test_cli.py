@@ -155,17 +155,21 @@ def _plain_graph_text(rng: random.Random, fault: str) -> str:
         n = MAX_VERTICES + 1
     elif fault == "zero-edges":
         edges = []
+    elif fault == "leading-zero":
+        j = rng.randrange(2)
+        edges[i][j] = "0" + edges[i][j]
     m = len(edges) + (rng.choice((1, -1)) if fault == "header-off-by-one" else 0)
     return "".join(f"{u} {v}\n" for u, v in [(n, m), *edges])
 
 
 @pytest.mark.parametrize("fault", [
     "none", "out-of-range", "self-loop", "repeat", "reversed-repeat",
-    "header-off-by-one", "too-many-vertices", "5000-digit-id", "zero-edges"])
+    "header-off-by-one", "too-many-vertices", "5000-digit-id", "zero-edges",
+    "leading-zero"])
 def test_bulk_reader_agrees_with_the_line_reader(tmp_path, fault):
     for seed in range(20):
         text = _plain_graph_text(random.Random(f"{fault}:{seed}"), fault)
-        assert not listsep.cli._PLAIN_LINE.sub("", text)
+        assert listsep.cli._PLAIN.fullmatch(text)
         path = write(tmp_path, f"{seed}.g", text)
         outcomes = []
         for parse in (parse_graph_file, lambda p: listsep.cli._graph_by_lines(p, text)):
@@ -174,7 +178,8 @@ def test_bulk_reader_agrees_with_the_line_reader(tmp_path, fault):
             except ParseError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
-        assert isinstance(outcomes[0], str) == (fault not in ("none", "zero-edges"))
+        assert isinstance(outcomes[0], str) == (
+            fault not in ("none", "zero-edges", "leading-zero"))
 
 
 def test_only_plain_graph_files_skip_the_line_reader(tmp_path, monkeypatch):
@@ -191,16 +196,44 @@ def test_only_plain_graph_files_skip_the_line_reader(tmp_path, monkeypatch):
             parse_graph_file(write(tmp_path, name, text))
 
 
-def test_plain_check_stops_at_the_first_line_that_is_not_plain():
+def _is_plain_graph_text(text: str) -> bool:
+    """Every line is digits, one space, digits and a newline, and there is one."""
+    lines = text.split("\n")
+    if len(lines) < 2 or lines.pop():
+        return False
+    for line in lines:
+        left, sep, right = line.partition(" ")
+        if not (sep and left and right and set(left + right) <= set("0123456789")):
+            return False
+    return True
+
+
+def test_plain_pattern_matches_exactly_the_plain_form():
     rng = random.Random(11)
+    plain = 0
     for _ in range(5000):
-        text = "".join(rng.choice("09 \n#a\t-") for _ in range(rng.randint(1, 14)))
-        found = listsep.cli._NOT_PLAIN.search(text)
-        # The file is plain iff deleting its plain lines leaves nothing...
-        assert (found is None) == (not listsep.cli._PLAIN_LINE.sub("", text))
-        # ...and every line before the one found is plain.
-        if found is not None:
-            assert not listsep.cli._PLAIN_LINE.sub("", text[:found.start()])
+        if rng.random() < 0.5:
+            text = "".join(rng.choice("09 \n#a\t-") for _ in range(rng.randint(1, 14)))
+        else:    # plain lines, perhaps with one character changed
+            text = "".join(f"{rng.choice(['0', '9', '90'])} {rng.choice(['0', '09'])}\n"
+                           for _ in range(rng.randint(1, 4)))
+            if rng.random() < 0.5:
+                i = rng.randrange(len(text))
+                text = text[:i] + rng.choice(["", *"09 \n#a\t-"]) + text[i + 1:]
+        assert bool(listsep.cli._PLAIN.fullmatch(text)) == _is_plain_graph_text(text)
+        plain += _is_plain_graph_text(text)
+    assert 1000 < plain < 4000
+
+
+def test_plain_pattern_keeps_no_backtracking_state():
+    text = "".join(f"{v} {v + 1}\n" for v in range(200_000))
+    tracemalloc.start()
+    try:
+        assert listsep.cli._PLAIN.fullmatch(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 << 10
 
 
 def test_parse_lists_file(tmp_path):
@@ -235,6 +268,87 @@ def test_parse_lists_file_keeps_no_mask_per_color(tmp_path):
     assert lists.colors(9_999) == (29_997, 29_998, 29_999)
     assert names == tuple(range(30_000))
     assert peak < 40 << 20
+
+
+# List-file faults the line reader refuses; the others give valid lists.
+LIST_ERRORS = ("repeated-vertex", "missing-vertex", "5000-digit-color",
+               "color-at-universe", "universe-0", "empty-list")
+
+
+def _plain_lists_text(rng: random.Random, fault: str) -> tuple[str, int | None]:
+    """A random list file in the plain form, with one fault of the given
+    kind, and the universe to read it with."""
+    n = rng.randrange(2, 30)
+    rows = [[str(v), *map(str, rng.sample(range(40), rng.randrange(1, 6)))]
+            for v in range(n)]
+    top = max(int(c) for row in rows for c in row[1:])
+    universe = rng.choice((None, top + 1 + rng.randrange(3)))
+    i = rng.randrange(n)
+    if fault == "shuffled":
+        j = rng.randrange(n - 1)
+        rows[j], rows[j + 1] = rows[j + 1], rows[j]
+    elif fault == "repeated-vertex":
+        rows.insert(rng.randrange(n + 1), list(rows[i]))
+    elif fault == "missing-vertex":    # not the last: that one leaves valid lists
+        del rows[rng.randrange(n - 1)]
+    elif fault == "leading-zero":
+        j = rng.randrange(len(rows[i]))
+        rows[i][j] = "0" + rows[i][j]
+    elif fault == "5000-digit-color":
+        rows[i][rng.randrange(1, len(rows[i]))] = "1" * 5000
+    elif fault == "color-at-universe":
+        universe = top
+    elif fault == "universe-0":
+        universe = 0
+    elif fault == "empty-list":
+        rows[i] = rows[i][:1]
+    elif fault == "repeated-color":
+        rows[i].append(rng.choice(rows[i][1:]))
+    lines = [row[0] + ":" + "".join(" " + c for c in row[1:]) + "\n" for row in rows]
+    if fault == "comment":
+        lines.insert(rng.randrange(n + 1), "# comment\n")
+    text = "".join(lines)
+    if fault == "crlf":
+        text = text.replace("\n", "\r\n")
+    return text, universe
+
+
+@pytest.mark.parametrize("fault", [
+    "none", "shuffled", "repeated-vertex", "missing-vertex", "leading-zero",
+    "5000-digit-color", "color-at-universe", "universe-0", "empty-list",
+    "repeated-color", "crlf", "comment"])
+def test_bulk_list_reader_agrees_with_the_line_reader(tmp_path, fault):
+    for seed in range(20):
+        text, universe = _plain_lists_text(random.Random(f"{fault}:{seed}"), fault)
+        path = write(tmp_path, f"{seed}.l", text)
+        outcomes = []
+        for parse in (parse_lists_file, lambda p, u: listsep.cli._lists_by_lines(
+                p, listsep.cli._read_text(p), u)):
+            try:
+                outcomes.append(parse(path, universe))
+            except ParseError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], str) == (fault in LIST_ERRORS)
+
+
+def test_only_plain_list_files_skip_the_line_reader(tmp_path, monkeypatch):
+    def refuse(path, text, universe):
+        raise AssertionError("line reader called")
+
+    monkeypatch.setattr(listsep.cli, "_lists_by_lines", refuse)
+    plain = format_lists(ListAssignment.from_sets([{1, 5}, {2}, {5, 7, 9}]))
+    assert plain == "0: 1 5\n1: 2\n2: 5 7 9\n"
+    want = (ListAssignment.from_sets([{0, 2}, {1}, {2, 3, 4}]), (1, 2, 5, 7, 9))
+    for name, text, universe in [("p.l", plain, None), ("p10.l", plain, 10),
+                                 ("pcrlf.l", plain.replace("\n", "\r\n"), None)]:
+        assert parse_lists_file(write(tmp_path, name, text), universe) == want
+    for name, text, universe in [
+            ("pc.l", "# lists\n" + plain, None), ("empty.l", "", None),
+            ("p9.l", plain, 9), ("p0.l", plain, 0), ("swap.l", "1: 2\n0: 1 5\n", None),
+            ("zero.l", "0: 01\n", None), ("space.l", "0:  1\n", None)]:
+        with pytest.raises(AssertionError, match="line reader called"):
+            parse_lists_file(write(tmp_path, name, text), universe)
 
 
 @pytest.mark.parametrize(
