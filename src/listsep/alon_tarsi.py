@@ -176,8 +176,6 @@ def _vectors(h: Graph, s: Sequence[int]) -> Iterator[tuple[int, ...]]:
         d[v] = sum(map(alive.__getitem__, h.adjacency[v]))
     need = h.m - sum(d)
     hi = [s[v] - 1 for v in rest]
-    if sum(hi) < need:
-        return
     share = 0
     while share < max(hi, default=0) and sum(min(b, share + 1) for b in hi) <= need:
         share += 1

@@ -52,9 +52,10 @@ CHOOSABLE = "CHOOSABLE"
 NOT_CHOOSABLE = "NOT_CHOOSABLE"
 
 # The most proper colorings of one subgraph kept to try on its next tight
-# assignments. At (3,5), K3,3 then solves 18 of the 216 it tests and
-# the icosahedron 152 of the 2,576 it reaches in 400,000 nodes (one coloring:
-# 90 and 656; 64: 18 and 100).
+# assignments. At (3,5), K3,3 with its Alon-Tarsi certificate stubbed out
+# then solves 18 of the 216 it tests (with the certificate it tests none),
+# and the icosahedron 152 of the 2,576 it reaches in 400,000 nodes (one
+# coloring: 90 and 656; 64: 18 and 100).
 POOL_SIZE = 16
 
 # The node limit of a decision made without a meter.
@@ -195,13 +196,13 @@ class _Plan(NamedTuple):
 
     size: int    # of the level's lists
     needs: list[tuple[int, tuple[int, ...]]]    # need-only ready w, others
-    trims: list[tuple[int, tuple[int, ...], int | None]]    # (w, others, c)
+    trims: list[tuple[int, tuple[int, ...], int]]    # (w, others, c)
     cuts: list[tuple[int, int]]    # (earlier neighbor u, c)
     own: tuple[int, ...] | None    # i's neighbors but p, if i is ready
     p_needs: list[tuple[int, tuple[int, ...]]]    # needs whose others hold p
-    p_trims: list[tuple[int, tuple[int, ...], int | None]]    # likewise trims
+    p_trims: list[tuple[int, tuple[int, ...], int]]    # likewise trims
     p_need: tuple[int, ...] | None    # p's others, if p is need-only ready
-    p_trim: tuple[tuple[int, ...], int | None] | None    # (others, c) of p
+    p_trim: tuple[tuple[int, ...], int] | None    # (others, c) of p
     p_cut: int | None    # c of the cut on p's list, if it can fail
     p_own: bool    # i is ready and p is one of its neighbors
     removable: tuple[int, ...] | None    # i's neighbors if ready, size > k
@@ -264,8 +265,7 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter):
         |tr| + size - t. Only a w with sizes[w] > k can have a removable
         color, and with c < 0 no m reaches t with tr (c < 0 filters
         nothing; it does not kill the level). So those w are need-only,
-        and the rest are trimmed, as (w, others, c), with c None when
-        every m reaches t with tr.
+        and the rest are trimmed, as (w, others, c).
 
         m meets an earlier neighbor list f iff |m & f| <= c (c = t in the
         intersection regime, |m| + |f| - t in the union regime). `cuts`
@@ -290,8 +290,6 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter):
             width = sizes[w] - 1
             c = width + size - t
             trimmed = width >= k and c >= 0
-            if trimmed and not (c < size and c < width):
-                c = None
             if w == parent:
                 if trimmed:
                     p_trim = others, c
@@ -344,15 +342,14 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter):
             mp & ~cover_p (cover_p is -1, every color, if p is not ready);
           * trims_p holds (mw, bits, c) for each trimmed w whose others
             hold p, with bits the colors of mw removable against the others
-            but p, if there are any;
+            but p;
           * trim_p is (the lists of p's others, c) if p is trimmed;
           * cut_p is the c of p's cut, if p has one;
-          * a candidate misses every color of off & ~mp, if i's own test
-            reads p.
+          * a candidate misses every color of off & ~mp; off is 0 unless
+            i's own test reads p.
         """
         size = level.size
         table = _tables[used, size]
-        dead = table, 0, 0, 0, -1, (), None, None, 0
         need = kill = 0    # kill: the candidates that a ready w != i prunes
         for w, others in level.needs:
             cover = 0
@@ -364,8 +361,6 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter):
             lone, bits = lone_removable(mw, others)
             need |= lone
             if bits:
-                if c is None:
-                    return dead
                 kill |= table.trim(mw, bits, c)
         need_p, trims_p = 0, []
         for w, others in level.p_needs:
@@ -377,8 +372,7 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter):
             mw = masks[w]
             lone, bits = lone_removable(mw, others)
             need_p |= lone
-            if bits:    # else p's list cannot give w a removable color
-                trims_p.append((mw, bits, c))
+            trims_p.append((mw, bits, c))
         cover_p, trim_p = -1, None
         if level.p_need is not None:
             cover_p = 0
@@ -391,12 +385,6 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter):
             for f in lists:
                 cover_p |= f
             trim_p = lists, c
-        if need and not need_p and cover_p < 0:    # p's list adds no need
-            c = need.bit_count() - 1
-            if c >= size:    # no candidate holds it all
-                return dead
-            kill |= table[need, c]
-            need = 0
         alive = table.full
         # No cut empties alive: the last mask, all fresh, meets every list.
         for u, c in level.cuts:
@@ -421,23 +409,20 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter):
 
         `below` maps `used` to `fold`'s result for this level. It lives on
         p's level entry, so it is filled once per position of p's level;
-        per call only the terms that read mp run. The ready-vertex ones run
-        first: they can rule out every candidate before any bitset is read.
+        per call only the terms that read mp run. The trims run first, and
+        the call returns once they leave no candidate; a need of more
+        colors than the level's size ends it before its bitset is read.
         """
         fixed = below.get(used)
         if fixed is None:
             fixed = below[used] = fold(level, used)
         table, alive, need, need_p, cover_p, trims_p, trim_p, cut_p, off = fixed
         cands = table.masks
-        if not alive:
-            return cands, 0
         # Once the trims leave no candidate, no other test needs to run.
         for mw, bits, c in trims_p:
             if (mw | mp).bit_count() == t:
                 bits &= mp
             if bits:
-                if c is None:
-                    return cands, 0
                 alive &= ~table.trim(mw, bits, c)
         if not alive:
             return cands, 0
@@ -445,8 +430,6 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter):
             lists, c = trim_p
             bits = _removable_colors(mp, lists, t)
             if bits:
-                if c is None:
-                    return cands, 0
                 alive &= ~table.trim(mp, bits, c)
                 if not alive:
                     return cands, 0
@@ -458,10 +441,7 @@ def _tight_assignments(h: Graph, p: SeparationParams, meter: Meter):
             alive &= ~table[need, c]
         if cut_p is not None:
             alive &= table[mp, cut_p]
-        off &= ~mp
-        if off:
-            alive &= table[off, 0]
-        return cands, alive
+        return cands, alive & table[off & ~mp, 0]
 
     for sizes in itertools.product(*size_ranges):
         meter.spend(1)    # each profile drawn is one node

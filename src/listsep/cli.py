@@ -317,16 +317,19 @@ def _cmd_solve(args, out: _Out) -> int:
 def _cmd_check_choosable(args, out: _Out) -> int:
     g = parse_graph_file(args.graph)
     verdict = decide_choosable(g, _params(args), _meter(args))
+    # Written before any output: an unwritable path prints no verdict.
+    path = args.emit_witness if verdict.witness is not None else None
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(format_lists(verdict.witness))
     out.emit("verdict", verdict.verdict)
     out.emit("assignments_tested", verdict.assignments_tested)
     out.emit("solves", verdict.solves)
     out.emit("nodes", verdict.nodes_used)
     if verdict.certificate is not None:
         out.emit("certificate", "alon-tarsi")
-    if verdict.witness is not None and args.emit_witness:
-        with open(args.emit_witness, "w", encoding="utf-8") as fh:
-            fh.write(format_lists(verdict.witness))
-        out.emit("witness_file", args.emit_witness)
+    if path:
+        out.emit("witness_file", path)
     return _EXIT[verdict.verdict]
 
 

@@ -31,7 +31,13 @@ from listsep.cli import (
     parse_lists_file,
 )
 from listsep.constructions import build_book, build_gadget35
-from listsep.graph import MAX_VERTICES, complete_graph, cycle_graph, path_graph
+from listsep.graph import (
+    MAX_VERTICES,
+    Graph,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+)
 
 GOLDEN = str(Path(__file__).parent / "data" / "tuple_table_golden.txt")
 
@@ -567,6 +573,43 @@ def test_check_choosable_exit_codes(tmp_path):
                   "--max-nodes", "20000"])
             == code
         )
+
+
+def test_unwritable_witness_path_prints_no_verdict(tmp_path, capsys):
+    c4 = write(tmp_path, "c4.txt", "4 4\n0 1\n1 2\n2 3\n3 0\n")
+    c5 = write(tmp_path, "c5.txt", "5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
+    bad = tmp_path / "missing" / "w.l"
+    argv = ["--format", "machine", "check-choosable", "--k", "2", "--t", "2",
+            "--emit-witness", str(bad)]
+    assert main(argv + [c5]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    # A CHOOSABLE decision has no witness to write, so the path goes unused.
+    assert main(argv + [c4]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "verdict=CHOOSABLE"
+    assert not bad.parent.exists()
+
+
+def wheel_hub_last(rim: int) -> Graph:
+    """The wheel on the cycle 0..rim-1, with the hub rim last."""
+    return Graph(rim + 1, [(v, (v + 1) % rim) for v in range(rim)]
+                 + [(v, rim) for v in range(rim)])
+
+
+@pytest.mark.parametrize("rim, lines", [
+    # The whole-graph certificate decides W6.
+    (6, ["verdict=CHOOSABLE", "assignments_tested=0", "solves=0", "nodes=47",
+         "certificate=alon-tarsi"]),
+    # W5 has none: its level tests rule out every tight assignment.
+    (5, ["verdict=CHOOSABLE", "assignments_tested=0", "solves=0",
+         "nodes=4069403"]),
+])
+def test_wheels_with_the_hub_last_at_3_6(tmp_path, capsys, rim, lines):
+    wheel = write(tmp_path, "w.g", format_graph(wheel_hub_last(rim)))
+    argv = ["--format", "machine", "check-choosable", wheel, "--k", "3", "--t", "6"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_verify_witness_flow(tmp_path):
