@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from listsep import budget, choosability
+from listsep import budget, choosability, solver
 from listsep.assignments import (
     ListAssignment,
     SeparationParams,
@@ -645,6 +645,34 @@ def test_every_solve_goes_through_solve(monkeypatch):
     verdict = decide_choosable(complete_bipartite_graph(3, 3), SeparationParams(3, 5))
     assert verdict.verdict == CHOOSABLE
     assert len(calls) == verdict.solves == 18
+
+
+def test_decider_solves_peel_nothing(monkeypatch):
+    """Every tight assignment has |L(v)| <= deg(v) on its subgraph, so no
+    solve of the decider calls the solver's peel, and its node counts and
+    witnesses are those of searching the whole subgraph."""
+    peels, solves = [], []
+
+    def counted_peel(*args):
+        peels.append(None)
+        return greedy_kernel(*args)
+
+    def counted_solve(*args):
+        solves.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(solver, "greedy_kernel", counted_peel)
+    monkeypatch.setattr(choosability, "solve", counted_solve)
+    no_certificate(monkeypatch)
+    runs = [(h, p, 50_000) for h, p in seeded_cases(100, 2035)] + [
+        (g, SeparationParams(3, 5), 400_000)
+        for g in (complete_graph(5), icosahedron_graph(),
+                  complete_bipartite_graph(3, 3))]
+    verdicts = {decide_choosable(g, p, Meter(max_nodes)).verdict
+                for g, p, max_nodes in runs}
+    assert verdicts == {CHOOSABLE, NOT_CHOOSABLE, RESOURCE_LIMIT}
+    assert len(solves) > 500
+    assert peels == []
 
 
 def reference_decide(g: Graph, p: SeparationParams, meter: Meter):

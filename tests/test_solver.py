@@ -1,5 +1,6 @@
 """Backtracking solver: soundness, completeness against a product-space
-oracle, determinism and singleton lists that pin a color."""
+oracle, determinism, singleton lists that pin a color and the peel of
+vertices whose lists outnumber their degrees."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import json
 import random
 from pathlib import Path
 
+from listsep import solver
 from listsep.assignments import ListAssignment, SeparationParams, is_proper_coloring
 from listsep.budget import CLOCK_EVERY, RESOURCE_LIMIT, Meter
 from listsep.choosability import decide_choosable
@@ -16,6 +18,7 @@ from listsep.graph import (
     MAX_VERTICES,
     Graph,
     complete_graph,
+    greedy_kernel,
     icosahedron_graph,
     path_graph,
 )
@@ -374,13 +377,87 @@ def test_long_path_needs_no_recursion():
 
 
 def test_longest_path_is_colored_without_backtracking():
-    # One node per vertex; a scan at every pick took minutes here.
+    # Every vertex peels, and each greedily colored one is a node.
     n = MAX_VERTICES
     g = path_graph(n)
     lists = ListAssignment.from_sets([{0, 1, 2}] * n)
     res = solve(g, lists)
     assert (res.verdict, res.nodes_explored) == (SAT, n)
     assert is_proper_coloring(g, lists, res.witness)
+
+
+def test_longest_prism_is_colored_by_the_heap_pick():
+    # C50000 x K2 is 3-regular, so with 3-color lists no vertex peels and
+    # the search picks every vertex: one node each, from the heap; a scan
+    # at every pick took minutes on the path.
+    half = MAX_VERTICES // 2
+    g = Graph(2 * half, [(v, (v + 1) % half) for v in range(half)]
+              + [(half + v, half + (v + 1) % half) for v in range(half)]
+              + [(v, half + v) for v in range(half)])
+    assert len(greedy_kernel(g, 3).kernel_vertices) == g.n
+    lists = ListAssignment.from_sets([{0, 1, 2}] * g.n)
+    res = solve(g, lists)
+    assert (res.verdict, res.nodes_explored) == (SAT, g.n)
+    assert is_proper_coloring(g, lists, res.witness)
+
+
+def peeled_instance(rng: random.Random):
+    """A core, then up to five vertices hung on it one at a time, each on
+    one or two earlier vertices (pendant trees) or on none (isolated), with
+    lists of one to three colors. The core is K4 from three colors or
+    book(2,3), both uncolorable, or a random graph on up to four vertices
+    with lists of one to four colors, so lists longer than the degree and
+    singletons of degree 0 both occur."""
+    shape = rng.choice(("K4", "book", "random"))
+    if shape == "K4":
+        n, edges = 4, complete_graph(4).edges()
+        sets = [{0, 1, 2}] * 4
+    elif shape == "book":
+        inst = build_book(2, 3)
+        n, edges = inst.graph.n, inst.graph.edges()
+        sets = [inst.lists.colors(v) for v in range(n)]
+    else:
+        n = rng.randint(1, 4)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.6]
+        sets = [rng.sample(range(4), rng.randint(1, 4)) for _ in range(n)]
+    for v in range(n, n + rng.randint(0, 5)):
+        edges += [(u, v) for u in rng.sample(range(v), rng.randint(0, min(2, v)))]
+        sets.append(rng.sample(range(4), rng.randint(1, 3)))
+    return Graph(len(sets), edges), ListAssignment.from_sets(sets)
+
+
+def test_peeled_instances_match_product_oracle(monkeypatch):
+    # The solver's peel is recorded, so the nodes of the greedy extension
+    # are known: the last len(order) nodes of a SAT solve.
+    peels = []
+
+    def recorded(g, k):
+        peels.append(greedy_kernel(g, k))
+        return peels[-1]
+
+    monkeypatch.setattr(solver, "greedy_kernel", recorded)
+    rng = random.Random(3535)
+    seen = set()
+    for _ in range(250):
+        g, lists = peeled_instance(rng)
+        peels.clear()
+        res = solve(g, lists)
+        assert_matches_oracle(g, lists, res)
+        if not peels:
+            continue
+        assert len(peels) == 1
+        kernel, order = peels[0].kernel_vertices, peels[0].order
+        seen.add((res.verdict, bool(kernel)))
+        if not kernel:
+            assert res.nodes_explored == g.n
+        if res.verdict != SAT:
+            continue
+        for j in range(res.nodes_explored - len(order), res.nodes_explored):
+            cut = solve(g, lists, Meter(max_nodes=j))
+            assert cut == SolveResult(RESOURCE_LIMIT, None, j + 1)
+        assert solve(g, lists, Meter(max_nodes=res.nodes_explored)) == res
+    assert seen == {(SAT, False), (SAT, True), (UNSAT, True)}
 
 
 def test_solve_budget_cuts_off_and_is_charged_exactly():
