@@ -161,31 +161,42 @@ def greedy_kernel(g: Graph, k: int | Sequence[int]) -> KernelResult:
     one limit k the survivors form the k-core. An empty kernel certifies
     that every (k,t)-assignment of g is colorable: replaying the removal
     order backwards always leaves a free color. Degrees only fall, so a
-    vertex stays removable once it is; a min-heap of the removable vertices
-    therefore yields the same order as rescanning from id 0 after each
-    removal, in O((n + m) log n). Raises ValueError for a sequence whose
-    length is not n, and for a limit below 1, where the peel certifies
-    nothing.
+    vertex stays removable once it is. A scan walks the ids upward and
+    removes each removable vertex it reaches; a vertex that becomes
+    removable behind the scan goes on a min-heap, which is emptied before
+    the scan moves on, since everything on it has a lower id than anything
+    ahead. That yields the same order as rescanning from id 0 after each
+    removal, in O(n + m) plus O(log n) per vertex that goes on the heap; a
+    vertex removable from the start never does. Raises ValueError for a
+    sequence whose length is not n, and for a limit below 1, where the peel
+    certifies nothing.
     """
     limit = [k] * g.n if isinstance(k, int) else list(k)
     if len(limit) != g.n:
         raise ValueError(f"{len(limit)} limits for {g.n} vertices")
     if min(limit, default=1) < 1 or isinstance(k, int) and k < 1:
         raise ValueError("k must be at least 1")
+    nbrs = g._nbrs
     # A vertex is removable while its degree less its limit is negative.
-    slack = [len(nbrs) - lim for nbrs, lim in zip(g._nbrs, limit)]
-    heap = [v for v in range(g.n) if slack[v] < 0]   # sorted, hence a heap
+    slack = [len(nb) - lim for nb, lim in zip(nbrs, limit)]
     alive = [True] * g.n
     order = []
-    while heap:
-        v = heappop(heap)
-        alive[v] = False
-        order.append(v)
-        for u in g._nbrs[v]:
-            if alive[u]:
-                slack[u] -= 1
-                if slack[u] == -1:
-                    heappush(heap, u)
+    heap: list[int] = []    # removable vertices behind the scan
+    for i in range(g.n):
+        if slack[i] >= 0:
+            continue
+        v = i    # alive: only vertices behind the scan have been removed
+        while True:
+            alive[v] = False
+            order.append(v)
+            for u in nbrs[v]:
+                if alive[u]:
+                    slack[u] -= 1
+                    if slack[u] == -1 and u < i:
+                        heappush(heap, u)
+            if not heap:
+                break
+            v = heappop(heap)
     return KernelResult(tuple(compress(range(g.n), alive)), tuple(order))
 
 

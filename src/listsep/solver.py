@@ -41,6 +41,19 @@ book(3,7) of the constructions in 155 nodes, book(4,7) in 340 and the
 47-vertex gadget in 84, also on each of 30 random relabelings of its
 vertices.
 
+Coloring a vertex of degree HUB_DEGREE (16) or more visits only the
+neighbors whose list holds the color, the way a SAT solver visits only the
+clauses a literal occurs in (Moskewicz et al., "Chaff", DAC 2001); no other
+neighbor can lose it. Each such occurrence list is built the first time its
+vertex takes its color, from the lists the search started with, and kept
+for the rest of the search, so it never holds more vertices than the walks
+it replaces have visited. Each trail entry records the key it replaced,
+and an unwind restores the keys from the trail. A center of book(4,7) has
+256 pages, 64 of which hold any one of its colors. Refuting book(4,7) takes
+3.0 ms of CPU time in `solve`, book(4,9) 29 ms and book(5,9) 0.24 s, against
+3.6, 40 and 350 ms when every coloring walked all neighbors and every
+unwind recomputed its keys.
+
 Picking the next vertex costs O(log n) while the search moves forward. A
 lazy min-heap of (key, vertex) entries is fed from the undo trail: each pick
 pushes the current key of every uncolored vertex the trail gained since the
@@ -56,7 +69,7 @@ witnesses do not depend on which one ran. The 100,000-vertex prism
 C50000 x K2 with lists {0,1,2}, where no vertex peels, is colored in 100,000
 nodes and about 0.5 s, one pick per node; a scan at every pick took minutes
 on a path of that size. The 100,000-vertex path with the same lists peels
-completely and takes 100,000 nodes and 0.1-0.15 s (process CPU time of
+completely and takes 100,000 nodes and 0.065-0.075 s (process CPU time of
 `solve`, Python 3.11, 2-CPU x86_64 machine).
 
 No randomization; verdicts and node counts are reproducible.
@@ -79,6 +92,11 @@ INF = float("inf")
 # (5 at 100 to 1,000 vertices, 11 at 100,000, measured with Python 3.11 on
 # a 2-CPU x86_64 machine).
 REBUILD_SCANS = 8
+# From this degree up, coloring a vertex visits only the neighbors whose
+# starting list holds the color (_Search.occ). Below it the walk over every
+# neighbor is short, and the choosability decider's many small solves pay
+# one len() per colored vertex and build no index.
+HUB_DEGREE = 16
 
 
 @dataclass(frozen=True)
@@ -92,9 +110,20 @@ class _Search:
     """One search for one list-coloring instance: every vertex assignment is
     one node, charged to the meter as it is made.
 
-    The trail holds (w, 0) for a coloring of w and (w, bit) for a color
-    removed from w's candidates; a frame is [vertex, untried colors, trail
-    length before its decision].
+    The trail holds (w, 0, k) for a coloring of w and (w, bit, k) for a
+    color removed from w's candidates, where k is w's key just before the
+    entry, so an unwind puts each key back without recomputing it; a frame
+    is [vertex, untried colors, trail length before its decision].
+
+    `occ` maps (w, bit), for a vertex w of degree HUB_DEGREE or more that
+    has been colored bit, to w's neighbors whose candidates at the start,
+    kept in `start` because `cand` changes in place, hold bit, in neighbor
+    order. Candidates only shrink from the start, so no other neighbor can
+    lose bit, and the search visits the same vertices in the same order as
+    a walk over all of w's neighbors. An entry is made the first time its
+    pair is colored, where the walk it replaces would have visited every
+    neighbor, so `occ` never holds more vertices than the search has
+    visited; a search whose vertices all have smaller degrees builds none.
 
     key[v] is INF once v is colored and |cand[v]| / deg[v] before, where
     deg[v] is v's degree (1 if isolated), or INF for a vertex whose list is
@@ -115,19 +144,21 @@ class _Search:
     backtracking pays the rebuild once.
     """
 
-    __slots__ = ("nbrs", "cand", "color", "deg", "key", "depth", "trail",
-                 "meter", "heap", "seen", "step", "streak")
+    __slots__ = ("nbrs", "cand", "start", "occ", "color", "deg", "key",
+                 "depth", "trail", "meter", "heap", "seen", "step", "streak")
 
     def __init__(self, g: Graph, cand: list[int], meter: Meter):
         """Search g with `cand`, one nonempty candidate set per vertex."""
         self.nbrs = nbrs = g.adjacency
         self.cand = cand
+        self.start = cand[:]
+        self.occ: dict[tuple[int, int], tuple[int, ...]] = {}
         self.color = [-1] * g.n
         self.deg = deg = [INF if c & (c - 1) == 0 else len(nb) or 1
                           for c, nb in zip(cand, nbrs)]
         self.key = [c.bit_count() / d for c, d in zip(cand, deg)]
         self.depth = [0] * g.n    # decision depth that colored each vertex
-        self.trail: list[tuple[int, int]] = []
+        self.trail: list[tuple[int, int, float]] = []
         self.meter = meter
         self.heap: list[tuple[float, int]] | None = None
         self.seen = 0
@@ -163,7 +194,7 @@ class _Search:
                                         if k != INF]
                     heapify(heap)
                 else:
-                    for w, _ in trail[end - grown:]:
+                    for w, _, _ in trail[end - grown:]:
                         k = key[w]
                         if k != INF:
                             heappush(heap, (k, w))
@@ -188,20 +219,28 @@ class _Search:
         depth = self.depth
         nbrs = self.nbrs
         trail = self.trail
+        occ = self.occ
+        start = self.start
         spend = self.meter.spend
         stack = [(v, bit)]
         while stack:
             # w is uncolored: it is pushed once, when it first has one candidate.
             w, b = stack.pop()
             color[w] = b.bit_length() - 1
+            trail.append((w, 0, key[w]))
             key[w] = INF
             depth[w] = d
-            trail.append((w, 0))
             spend(1)
-            for u in nbrs[w]:
+            touched = nbrs[w]
+            if len(touched) >= HUB_DEGREE:
+                touched = occ.get((w, b))
+                if touched is None:
+                    touched = occ[w, b] = tuple(u for u in nbrs[w]
+                                                if start[u] & b)
+            for u in touched:
                 if color[u] < 0 and cand[u] & b:
                     cu = cand[u] = cand[u] & ~b
-                    trail.append((u, b))
+                    trail.append((u, b, key[u]))
                     if cu & (cu - 1) == 0:
                         if cu == 0:
                             return False
@@ -213,15 +252,14 @@ class _Search:
     def unwind(self, mark: int) -> None:
         cand = self.cand
         color = self.color
-        deg = self.deg
         key = self.key
         trail = self.trail
-        for w, b in reversed(trail[mark:]):
+        for w, b, k in reversed(trail[mark:]):
             if b:
                 cand[w] |= b
             else:
                 color[w] = -1
-            key[w] = cand[w].bit_count() / deg[w]
+            key[w] = k
         del trail[mark:]
         if mark < self.seen:
             self.heap = None    # it lacks the keys this unwind restored

@@ -650,8 +650,10 @@ def test_every_solve_goes_through_solve(monkeypatch):
 def test_decider_solves_peel_nothing(monkeypatch):
     """Every tight assignment has |L(v)| <= deg(v) on its subgraph, so no
     solve of the decider calls the solver's peel, and its node counts and
-    witnesses are those of searching the whole subgraph."""
-    peels, solves = [], []
+    witnesses are those of searching the whole subgraph. No vertex of
+    these graphs has degree solver.HUB_DEGREE, so none of their searches
+    builds an occurrence list either."""
+    peels, solves, searches = [], [], []
 
     def counted_peel(*args):
         peels.append(None)
@@ -661,7 +663,13 @@ def test_decider_solves_peel_nothing(monkeypatch):
         solves.append(None)
         return solve(*args)
 
+    class Recorded(solver._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
     monkeypatch.setattr(solver, "greedy_kernel", counted_peel)
+    monkeypatch.setattr(solver, "_Search", Recorded)
     monkeypatch.setattr(choosability, "solve", counted_solve)
     no_certificate(monkeypatch)
     runs = [(h, p, 50_000) for h, p in seeded_cases(100, 2035)] + [
@@ -673,6 +681,8 @@ def test_decider_solves_peel_nothing(monkeypatch):
     assert verdicts == {CHOOSABLE, NOT_CHOOSABLE, RESOURCE_LIMIT}
     assert len(solves) > 500
     assert peels == []
+    assert len(searches) == len(solves)
+    assert not any(st.occ for st in searches)
 
 
 def reference_decide(g: Graph, p: SeparationParams, meter: Meter):

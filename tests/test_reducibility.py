@@ -228,7 +228,14 @@ def test_kernel_order_matches_rescan_reference():
     rng = random.Random(29)
     grid = Graph(225, [(r * 15 + c, r * 15 + c + 1) for r in range(15) for c in range(14)]
                  + [(r * 15 + c, r * 15 + c + 15) for r in range(14) for c in range(15)])
-    cases = [(path_graph(500), 2), (grid, 3), (grid, 2)]
+    # A path numbered outward from its middle and stars with the centre
+    # first or last: vertices become removable behind the scan.
+    n = 501
+    middle_out = Graph(n, [(max(v - 2, 0), v) for v in range(1, n)])
+    star_first = Graph(n, [(0, v) for v in range(1, n)])
+    star_last = Graph(n, [(v, n - 1) for v in range(n - 1)])
+    cases = [(path_graph(500), 2), (grid, 3), (grid, 2), (middle_out, 2),
+             (star_first, 2), (star_last, 2), (star_first, 100)]
     for _ in range(300):
         n = rng.randint(0, 40)
         p = rng.uniform(0.02, 0.4)

@@ -460,6 +460,77 @@ def test_peeled_instances_match_product_oracle(monkeypatch):
     assert seen == {(SAT, False), (SAT, True), (UNSAT, True)}
 
 
+def hub_instance(rng: random.Random, shape: str):
+    """A graph with one to three vertices of degree 16 or more, so coloring
+    them reads occurrence lists: a relabeled book, a wheel or a star with
+    random lists, or a random graph with hubs of degree 20 to 60."""
+    if shape == "book":
+        inst = build_book(*rng.choice(((2, 3), (2, 4), (3, 5), (3, 6), (3, 7), (4, 7))))
+        return relabeled(inst.graph, inst.lists, rng)
+    if shape in ("wheel", "star"):
+        n = rng.randint(16, 60)
+        edges = [(0, v) for v in range(1, n + 1)]
+        if shape == "wheel":
+            edges += [(v, v % n + 1) for v in range(1, n + 1)]
+        least = 2 if shape == "wheel" else 1
+        sizes = [rng.randint(3, 5)] + [rng.randint(least, 3) for _ in range(n)]
+    else:
+        n = rng.randint(40, 80)
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 4 / n}
+        for hub in rng.sample(range(n), rng.randint(1, 3)):
+            for u in rng.sample(range(n), rng.randint(21, min(61, n))):
+                if u != hub:
+                    edges.add((min(u, hub), max(u, hub)))
+        sizes = [rng.randint(2, 4) for _ in range(n)]
+    g = Graph(len(sizes), sorted(edges))
+    lists = ListAssignment.from_sets([rng.sample(range(6), s) for s in sizes])
+    return relabeled(g, lists, rng)
+
+
+def test_occurrence_lists_change_no_step_of_the_search(monkeypatch):
+    # Solved as shipped and again with HUB_DEGREE above every degree, so
+    # that every coloring walks all its neighbors: verdicts, witnesses and
+    # node counts agree, and a budget runs out at the same node.
+    rng = random.Random(3636)
+    cases = [hub_instance(rng, shape) for shape in ("book", "wheel", "star", "gnp")
+             for _ in range(15)]
+    searches = []
+
+    class Recorded(_Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    def run_all():
+        """Each case's solve and budget cuts, and whether its solve built
+        an occurrence list."""
+        out, indexed = [], []
+        for g, lists in cases:
+            searches.clear()
+            res = solve(g, lists)
+            indexed.append(any(st.occ for st in searches))
+            cuts = [(j, solve(g, lists, Meter(max_nodes=j)))
+                    for j in range(1, res.nodes_explored,
+                                   1 + res.nodes_explored // 8)]
+            out.append((res, cuts))
+        return out, indexed
+
+    monkeypatch.setattr(solver, "_Search", Recorded)
+    shipped, indexed = run_all()
+    assert sum(indexed) > len(cases) // 2
+    monkeypatch.setattr(solver, "HUB_DEGREE", MAX_VERTICES)
+    walked, indexed = run_all()
+    assert walked == shipped
+    assert not any(indexed)
+    assert {res.verdict for res, _ in shipped} == {SAT, UNSAT}
+    for (g, lists), (res, cuts) in zip(cases, shipped):
+        if res.verdict == SAT:
+            assert is_proper_coloring(g, lists, res.witness)
+        for j, cut in cuts:
+            assert cut == SolveResult(RESOURCE_LIMIT, None, j + 1)
+
+
 def test_solve_budget_cuts_off_and_is_charged_exactly():
     # K8 from seven colors is symmetric, so no vertex order shortens its
     # search below the 1,024 nodes between two clock reads.
