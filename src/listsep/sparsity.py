@@ -27,8 +27,7 @@ class _PushRelabel:
     recursion.
 
     It runs phase 1 only, which is all a min cut needs: it saturates the
-    source's arcs, routes each node's excess straight to the sink where an
-    arc allows, labels every node with its exact residual distance to the
+    source's arcs, labels every node with its exact residual distance to the
     sink by one reverse BFS, and then discharges the highest-labelled active
     node first. The BFS is repeated after O(nodes + arcs) work, or once a
     label no node holds any more (a gap) shows that nothing above it reaches
@@ -81,15 +80,6 @@ class _PushRelabel:
                 cap[e] = 0
                 cap[e ^ 1] += c
                 excess[to[e]] += c
-        for v in range(size):
-            if excess[v] and v != t:
-                for e in adj[v]:
-                    if to[e] == t and cap[e]:
-                        d = min(excess[v], cap[e])
-                        cap[e] -= d
-                        cap[e ^ 1] += d
-                        excess[v] -= d
-                        excess[t] += d
         # A relabel's work is its arc scan plus a fixed 12; this much work
         # between two BFS rounds keeps the labels close to exact.
         work_limit = 4 * (size + len(to))
@@ -166,44 +156,41 @@ class _PushRelabel:
         return excess[t], [d == size for d in label]
 
 
-def _induced_edge_count(g: Graph, vertices: tuple[int, ...]) -> int:
-    inside = set(vertices)
-    return sum(1 for v in vertices for u in g.neighbors(v) if u in inside) // 2
-
-
 def _denser_subgraph(
-    g: Graph, vertices: tuple[int, ...], guess: Fraction
-) -> tuple[int, ...] | None:
-    """A set S of the given vertices with e(S)/|S| > guess, or None if none
-    exists.
+    vertices: tuple[int, ...], local: list[list[int]], guess: Fraction
+) -> tuple[tuple[int, ...], int] | None:
+    """A set S of the given vertices with e(S)/|S| > guess, and e(S); or
+    None if no such set exists.
 
-    Network on the subgraph H they induce, with m = e(H): source -> v with
-    capacity m, v -> sink with capacity m + 2*guess - d_H(v), and capacity 1
-    both ways on each edge; a min cut below n(H)*m corresponds to a subgraph
-    denser than the guess. Capacities are scaled by the guess's denominator
-    to stay integral.
+    local[i] holds the positions of vertices[i]'s neighbours in the subgraph
+    H that the vertices induce. With guess = a/b, the network has
+    source -> v of capacity d_H(v)*b - 2a where that is positive,
+    v -> sink of capacity 2a - d_H(v)*b where that is positive, and
+    capacity b both ways on each edge. A source side S cuts
+    supply - 2b*e(S) + 2a|S|, where supply is the total source capacity, so
+    a flow below supply shows a denser set, and the largest min-cut source
+    side S has e(S) = (supply - flow + 2a|S|) / 2b.
     """
-    index = {v: i for i, v in enumerate(vertices)}
     n = len(vertices)
     a, b = guess.numerator, guess.denominator
     net = _PushRelabel(n + 2)
     s, t = n, n + 1
-    degree = [0] * n
-    for i, v in enumerate(vertices):
-        for u in g.neighbors(v):
-            j = index.get(u)
-            if j is not None:
-                degree[i] += 1
-                if j > i:
-                    net.add_edge(i, j, b, b)
-    m = sum(degree) // 2
-    for i in range(n):
-        net.add_edge(s, i, m * b)
-        net.add_edge(i, t, m * b + 2 * a - degree[i] * b)
+    supply = 0
+    for i, nbrs in enumerate(local):
+        for j in nbrs:
+            if j > i:
+                net.add_edge(i, j, b, b)
+        surplus = len(nbrs) * b - 2 * a
+        if surplus > 0:
+            net.add_edge(s, i, surplus)
+            supply += surplus
+        elif surplus < 0:
+            net.add_edge(i, t, -surplus)
     flow, side = net.min_cut(s, t)
-    if flow >= n * m * b:
+    if flow == supply:
         return None
-    return tuple(v for i, v in enumerate(vertices) if side[i])
+    denser = tuple(v for i, v in enumerate(vertices) if side[i])
+    return denser, (supply - flow + 2 * a * len(denser)) // (2 * b)
 
 
 def mad_exact(g: Graph) -> MadResult:
@@ -215,10 +202,11 @@ def mad_exact(g: Graph) -> MadResult:
     if rho* exceeds the current density rho, S* lies in the
     (floor(rho)+1)-core. While that core is denser than rho, the iteration
     moves to it. Then one flow on the core either finds a set S denser than
-    rho, and the iteration moves to S and its density e(S)/|S|, or shows
-    that no set is denser. Densities rise strictly and take finitely many
-    values, so the loop ends, and it ends only when no set is denser: the
-    last set is a densest subgraph.
+    rho, and the iteration moves to S and its density e(S)/|S|, read off the
+    cut of the netted network (`_denser_subgraph`), or shows that no set is
+    denser. Densities rise strictly and take finitely many values, so the
+    loop ends, and it ends only when no set is denser: the last set is a
+    densest subgraph.
 
     `flow_calls` counts the flow computations only; core moves are free.
     Which densest set is returned as the witness is an implementation
@@ -228,22 +216,26 @@ def mad_exact(g: Graph) -> MadResult:
         raise ValueError("Mad of the empty graph is undefined")
     if g.m == 0:
         return MadResult(Fraction(0), (0,), 0)
+    adjacency = g.adjacency
     best = tuple(range(g.n))
     density = Fraction(g.m, g.n)
     flow_calls = 0
     while True:
         # Never empty: a graph of density rho > 0 has degeneracy above rho.
         core = greedy_kernel(g, math.floor(density) + 1).kernel_vertices
-        core_density = Fraction(_induced_edge_count(g, core), len(core))
+        index = {v: i for i, v in enumerate(core)}
+        local = [[j for u in adjacency[v] if (j := index.get(u)) is not None]
+                 for v in core]
+        core_density = Fraction(sum(map(len, local)) // 2, len(core))
         if core_density > density:
             best, density = core, core_density
             continue
         flow_calls += 1
-        denser = _denser_subgraph(g, core, density)
+        denser = _denser_subgraph(core, local, density)
         if denser is None:
             return MadResult(2 * density, best, flow_calls)
-        best = denser
-        density = Fraction(_induced_edge_count(g, denser), len(denser))
+        best, edges = denser
+        density = Fraction(edges, len(best))
 
 
 def mad_bruteforce(g: Graph) -> MadResult:

@@ -737,6 +737,14 @@ def test_mad_and_sparse_and_kernel(tmp_path, capsys):
     assert main(["--format", "machine", "mad", k5]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["mad=4", "witness=0,1,2,3,4", "flow_calls=1"]
+    # K4 on 0-3 beside C5 on 4-8: the whole graph is the 2-core, so the
+    # first flow finds the K4 and a second shows nothing is denser.
+    k4c5 = write(tmp_path, "k4c5.txt", format_graph(Graph(9, [
+        *((u, v) for u in range(4) for v in range(u + 1, 4)),
+        *((4 + i, 4 + (i + 1) % 5) for i in range(5))])))
+    assert main(["--format", "machine", "mad", k4c5]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["mad=3", "witness=0,1,2,3", "flow_calls=2"]
     assert main(["verify-sparse", "--k", "4", "--t", "15"]) == EXIT_OK
     assert main(["verify-sparse", "--k", "1", "--t", "15"]) == EXIT_USAGE
     assert main(["kernel", k5, "--k", "5"]) == EXIT_OK

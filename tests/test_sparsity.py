@@ -21,8 +21,8 @@ from listsep.graph import (
     petersen_graph,
 )
 from listsep.sparsity import (
+    _denser_subgraph,
     _ends,
-    _induced_edge_count,
     _PushRelabel,
     mad_bruteforce,
     mad_exact,
@@ -192,16 +192,26 @@ def test_push_relabel_matches_bruteforce_min_cut():
     assert parallel > 500 and antiparallel > 500
 
 
-def goldberg_network(g: Graph, guess: Fraction) -> tuple[_PushRelabel, int, int]:
-    """The network `_denser_subgraph` builds, on the whole of g."""
+def goldberg_network(
+    g: Graph, guess: Fraction, netted: bool
+) -> tuple[_PushRelabel, int, int]:
+    """Goldberg's network on the whole of g. In the offset form every vertex
+    has a source arc of capacity m*b and a sink arc of capacity
+    m*b + 2a - d(v)*b; netted, as `_denser_subgraph` builds it, each vertex
+    keeps only the difference of the two, on the side where it is positive."""
     a, b = guess.numerator, guess.denominator
     net = _PushRelabel(g.n + 2)
     s, t = g.n, g.n + 1
     for u, v in g.edges():
         net.add_edge(u, v, b, b)
     for v in range(g.n):
-        net.add_edge(s, v, g.m * b)
-        net.add_edge(v, t, g.m * b + 2 * a - g.degree(v) * b)
+        if not netted:
+            net.add_edge(s, v, g.m * b)
+            net.add_edge(v, t, g.m * b + 2 * a - g.degree(v) * b)
+        elif g.degree(v) * b > 2 * a:
+            net.add_edge(s, v, g.degree(v) * b - 2 * a)
+        elif g.degree(v) * b < 2 * a:
+            net.add_edge(v, t, 2 * a - g.degree(v) * b)
     return net, s, t
 
 
@@ -213,21 +223,33 @@ def test_push_relabel_cuts_goldberg_networks():
         n = rng.randint(30, 400)
         g = random_graph(rng, n, rng.uniform(2, 10) / (n - 1))
         for scale in (1, Fraction(5, 4), Fraction(3, 2), 2):
-            net, s, t = goldberg_network(g, Fraction(g.m, n) * scale)
-            arcs = [(net.to[e ^ 1], net.to[e], c) for e, c in enumerate(net.cap)]
-            flow, side = net.min_cut(s, t)
-            assert side[s] and not side[t]
-            # A cut whose capacity equals a flow's value makes both optimal.
-            assert sum(c for u, v, c in arcs if side[u] and not side[v]) == flow
-            reach, stack = {t}, [t]
-            while stack:
-                v = stack.pop()
-                for e in net.adj[v]:
-                    u = net.to[e]
-                    if u not in reach and net.cap[e ^ 1]:
-                        reach.add(u)
-                        stack.append(u)
-            assert side == [v not in reach for v in range(net.size)]
+            guess = Fraction(g.m, n) * scale
+            cuts = []
+            for netted in (False, True):
+                net, s, t = goldberg_network(g, guess, netted)
+                arcs = [(net.to[e ^ 1], net.to[e], c) for e, c in enumerate(net.cap)]
+                flow, side = net.min_cut(s, t)
+                assert side[s] and not side[t]
+                # A cut whose capacity equals a flow's value makes both optimal.
+                assert sum(c for u, v, c in arcs if side[u] and not side[v]) == flow
+                reach, stack = {t}, [t]
+                while stack:
+                    v = stack.pop()
+                    for e in net.adj[v]:
+                        u = net.to[e]
+                        if u not in reach and net.cap[e ^ 1]:
+                            reach.add(u)
+                            stack.append(u)
+                assert side == [v not in reach for v in range(net.size)]
+                cuts.append((flow, side))
+            # Netting shifts every cut by the same constant, so the largest
+            # min-cut source side stays and the flow drops by that constant.
+            (offset_flow, offset_side), (netted_flow, netted_side) = cuts
+            assert netted_side == offset_side
+            a, b = guess.numerator, guess.denominator
+            assert offset_flow - netted_flow == sum(
+                min(g.m * b, g.m * b + 2 * a - g.degree(v) * b) for v in range(n)
+            )
 
 
 def test_mad_monotone_under_subgraphs():
@@ -270,17 +292,27 @@ def test_degeneracy_order():
         removed.add(v)
 
 
-def test_induced_edge_count_matches_induced_subgraph():
+def test_denser_subgraph_reads_its_edge_count_off_the_cut():
     rng = random.Random(31)
-    graphs = [complete_graph(7)]
-    graphs += [
-        random_graph(rng, rng.randint(1, 14), p)
-        for p in (0.1, 0.5, 0.9)
-        for _ in range(20)
-    ]
-    for g in graphs:
+    found = 0
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(2, 12), rng.choice((0.1, 0.3, 0.5, 0.9)))
         vertices = tuple(sorted(rng.sample(range(g.n), rng.randint(1, g.n))))
-        assert _induced_edge_count(g, vertices) == induced_subgraph(g, vertices)[0].m
+        index = {v: i for i, v in enumerate(vertices)}
+        local = [[index[u] for u in g.neighbors(v) if u in index] for v in vertices]
+        h = induced_subgraph(g, vertices)[0]
+        guess = rng.choice((Fraction(h.m, h.n) * rng.choice((Fraction(1, 2), 1, 2)),
+                            Fraction(rng.randint(0, 2 * h.n), rng.randint(1, 5))))
+        denser = _denser_subgraph(vertices, local, guess)
+        if denser is None:
+            assert mad_bruteforce(h).value <= 2 * guess
+            continue
+        found += 1
+        witness, edges = denser
+        assert set(witness) <= set(vertices)
+        assert edges == induced_subgraph(g, witness)[0].m
+        assert Fraction(edges, len(witness)) > guess
+    assert found >= 100
 
 
 def test_charge_algebra_named_instances():
